@@ -10,6 +10,8 @@ Run from the repository root:  python3 demos/02_subspace_segmentation.py
 
 import math
 
+import numpy as np
+
 import lidarplace as lp
 
 roi = lp.RoiSpec(
@@ -31,14 +33,15 @@ distinct_codes = {tuple(row) for row in labels.tolist()}
 bound = (beam4.num_beams + 1) ** len(poses)
 print(f"first level: {len(distinct_codes)} distinct codes (at most {bound})")
 
-subspaces = lp.connected_components(labels, grid)
-print(f"second level: {len(subspaces)} face-connected subspaces")
-largest = max(subspaces, key=len)
-print(f"largest subspace: component {largest.component_id}, code {largest.code}, "
-      f"{len(largest)} voxels")
+comp, count = lp.component_ids(labels, grid)
+print(f"second level: {count} face-connected subspaces")
+sizes = np.bincount(comp, minlength=count)
+largest = int(np.argmax(sizes))
+code = tuple(int(d) for d in labels[np.flatnonzero(comp == largest)[0]])
+print(f"largest subspace: component {largest}, code {code}, {sizes[largest]} voxels")
 
 # The subspaces tile the active voxels exactly.
-total = sum(len(s) for s in subspaces)
+total = int(sizes.sum())
 assert total == grid.num_active
 print(f"partition check: {total} voxels across all subspaces == active count")
 
@@ -48,7 +51,6 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    comp, _ = lp.component_ids(labels, grid)
     fig = plt.figure(figsize=(9, 4))
     ax = fig.add_subplot(projection="3d")
     c = grid.active_centers

@@ -13,14 +13,13 @@ import numpy as np
 
 import lidarplace as lp
 
-# Warm-up on hand-checkable shapes.
-res = [1.0, 0.5, 0.2]
-one = np.array([[0, 0, 0]])
-stack = np.array([[0, 0, 0], [0, 0, 1]])
-print("single voxel:  volume", lp.volume(one, res), " surface", lp.surface_area(one, res),
-      " vsr", lp.vsr(one, res))
-print("two stacked:   volume", lp.volume(stack, res), " surface", lp.surface_area(stack, res),
-      " vsr", round(lp.vsr(stack, res), 6))
+# Warm-up on a hand-checkable shape: a 1 x 1 x 2 voxel grid whose lower voxel
+# is component 0 and upper voxel component 1, then both as one component.
+warmup = lp.build_voxel_grid(lp.RoiSpec(extent=[1.0, 0.5, 0.4], resolution=[1.0, 0.5, 0.2]))
+for label, comp in (("single voxels", [0, 1]), ("two stacked  ", [0, 0])):
+    comp = np.array(comp)
+    _, vol, sa, ratio = lp.component_metrics(comp, comp.max() + 1, warmup)
+    print(f"{label}: volume {vol[0]:.3f}  surface {sa[0]:.3f}  vsr {ratio[0]:.6f}")
 
 # Now a real placement: two 16-beam sensors on the vehicle roof.
 roi = lp.RoiSpec(

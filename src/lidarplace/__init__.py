@@ -6,21 +6,16 @@ worst subspace's volume-to-surface-area ratio.  A Monte Carlo detection-rate
 estimator validates the objective as a detection proxy.
 """
 
-from .bees import AbcParams, FoodSource, SolveResult, fitness, neighbor, optimize, roulette_select
+from .bees import AbcParams, FoodSource, SolveResult, fitness, optimize, propose, roulette_many
 from .cost import (
     PlacementReport,
-    SubspaceMetrics,
     SubspaceRecord,
+    component_metrics,
     decision_bounds,
     evaluate_placement,
     make_objective,
     max_vsr,
     poses_from_vector,
-    subspace_metrics,
-    surface_area,
-    surface_area_axis,
-    volume,
-    vsr,
 )
 from .geometry import (
     Box,
@@ -49,15 +44,7 @@ from .scenario import (
     serialize_scenario,
     with_seed,
 )
-from .segmentation import (
-    SubspaceCode,
-    SubspaceSet,
-    beam_digit,
-    beam_digits,
-    component_ids,
-    connected_components,
-    first_level_labels,
-)
+from .segmentation import SubspaceCode, beam_digits, component_ids, first_level_labels
 
 __version__ = "0.1.0"
 
@@ -77,19 +64,16 @@ __all__ = [
     "ScenarioError",
     "SolveResult",
     "SubspaceCode",
-    "SubspaceMetrics",
     "SubspaceRecord",
-    "SubspaceSet",
     "Vec3",
     "VoxelGrid",
     "as_vec3",
-    "beam_digit",
     "beam_digits",
     "beam_surface_z",
     "build_voxel_grid",
     "canonical_dict",
     "component_ids",
-    "connected_components",
+    "component_metrics",
     "count_occupied_subspaces",
     "decision_bounds",
     "estimate_odr",
@@ -100,19 +84,14 @@ __all__ = [
     "load_scenario",
     "make_objective",
     "max_vsr",
-    "neighbor",
     "optimize",
     "parse_scenario",
     "poses_from_vector",
+    "propose",
     "rotation_matrix",
-    "roulette_select",
+    "roulette_many",
     "scenario_digest",
     "serialize_scenario",
-    "subspace_metrics",
-    "surface_area",
-    "surface_area_axis",
-    "volume",
-    "vsr",
     "with_seed",
     "world_to_lidar",
 ]

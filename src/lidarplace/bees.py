@@ -31,8 +31,8 @@ __all__ = [
     "AbcParams",
     "SolveResult",
     "fitness",
-    "roulette_select",
-    "neighbor",
+    "roulette_many",
+    "propose",
     "optimize",
 ]
 
@@ -69,6 +69,8 @@ class AbcParams:
             raise ValueError("max_iterations must be >= 1")
         if self.abandonment_threshold < 1:
             raise ValueError("abandonment_threshold must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,45 +97,53 @@ class SolveResult:
         return self.history[:, 1]
 
 
-def fitness(cost: float) -> float:
-    """Map a non-negative cost to fitness ``1 / (1 + cost)`` in (0, 1]."""
-    cost = float(cost)
-    if not math.isfinite(cost) or cost < 0.0:
-        raise ValueError(f"cost must be finite and non-negative, got {cost}")
+def fitness(cost):
+    """Map non-negative costs to fitness ``1 / (1 + cost)`` in (0, 1], elementwise."""
+    cost = np.asarray(cost, dtype=float)
+    if not np.all(np.isfinite(cost)) or np.any(cost < 0.0):
+        raise ValueError("costs must be finite and non-negative")
     return 1.0 / (1.0 + cost)
 
 
-def _roulette_many(fitnesses: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    cumulative = np.cumsum(fitnesses)
-    draws = rng.random(count) * cumulative[-1]
-    picks = np.searchsorted(cumulative, draws, side="right")
-    return np.minimum(picks, fitnesses.size - 1)
-
-
-def roulette_select(fitnesses, rng: np.random.Generator) -> int:
-    """Draw one index with probability proportional to its fitness."""
+def roulette_many(fitnesses, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` indices, each with probability proportional to its fitness."""
     fits = np.asarray(fitnesses, dtype=float)
     if fits.ndim != 1 or fits.size == 0 or np.any(fits <= 0.0) or not np.all(np.isfinite(fits)):
         raise ValueError("fitnesses must be a non-empty vector of positive finite values")
-    return int(_roulette_many(fits, rng, 1)[0])
+    cumulative = np.cumsum(fits)
+    draws = rng.random(count) * cumulative[-1]
+    picks = np.searchsorted(cumulative, draws, side="right")
+    return np.minimum(picks, fits.size - 1)
 
 
-def neighbor(
-    x_i: np.ndarray,
-    x_k: np.ndarray,
-    j: int,
+def propose(
+    base_rows: np.ndarray,
+    partner_rows: np.ndarray,
     rng: np.random.Generator,
     lower: np.ndarray,
     upper: np.ndarray,
+    all_dims: bool = False,
 ) -> np.ndarray:
-    """Local move: nudge coordinate ``j`` of ``x_i`` along its offset from
-    partner ``x_k`` by a uniform factor in [-1, 1], then clamp into the box."""
-    x_i = np.asarray(x_i, dtype=float)
-    v = x_i.copy()
-    phi = rng.uniform(-1.0, 1.0)
-    v[j] = x_i[j] + phi * (x_i[j] - np.asarray(x_k, dtype=float)[j])
-    np.clip(v, lower, upper, out=v)
-    return v
+    """Local move of each base row along its offset from the matching partner row.
+
+    By default one random coordinate ``j`` per row becomes
+    ``x[j] + phi * (x[j] - partner[j])`` with ``phi`` uniform in [-1, 1]; with
+    ``all_dims`` every coordinate moves by its own ``phi``.  Results are
+    clamped into the box ``[lower, upper]``.
+    """
+    n, dim = base_rows.shape
+    if all_dims:
+        phi = rng.uniform(-1.0, 1.0, (n, dim))
+        trial = base_rows + phi * (base_rows - partner_rows)
+    else:
+        cols = rng.integers(0, dim, n)
+        phi = rng.uniform(-1.0, 1.0, n)
+        rows = np.arange(n)
+        trial = base_rows.copy()
+        trial[rows, cols] = base_rows[rows, cols] + phi * (
+            base_rows[rows, cols] - partner_rows[rows, cols]
+        )
+    return np.clip(trial, lower, upper)
 
 
 def _partners(rng: np.random.Generator, exclude: np.ndarray, size: int) -> np.ndarray:
@@ -142,10 +152,12 @@ def _partners(rng: np.random.Generator, exclude: np.ndarray, size: int) -> np.nd
     return k + (k >= exclude)
 
 
-def _check_costs(costs: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(costs)) or np.any(costs < 0.0):
-        raise ValueError("objective must return finite non-negative costs")
-    return costs
+def _improve_best(solutions: np.ndarray, costs: np.ndarray, best: tuple):
+    """``best`` as ``(cost, solution)``, replaced by the cheapest source if strictly cheaper."""
+    m = int(np.argmin(costs))
+    if costs[m] < best[0]:
+        return float(costs[m]), solutions[m].copy()
+    return best
 
 
 def optimize(
@@ -174,101 +186,63 @@ def optimize(
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    def evaluate(batch: np.ndarray) -> np.ndarray:
+    def evaluate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs of the batch's rows and their fitness; rejects invalid costs."""
         rows = list(batch)
         if pool is None:
             costs = [float(objective(row)) for row in rows]
         else:
             costs = [float(c) for c in pool.map(objective, rows)]
-        return _check_costs(np.asarray(costs, dtype=float))
+        costs = np.asarray(costs, dtype=float)
+        return costs, fitness(costs)
 
     try:
         solutions = rng.uniform(lower, upper, (tau, dim))
-        costs = evaluate(solutions)
-        fits = 1.0 / (1.0 + costs)
+        costs, fits = evaluate(solutions)
         stagnation = np.zeros(tau, dtype=np.int64)
         scout_counts = np.zeros(tau, dtype=np.int64)
-
-        best_idx = int(np.argmin(costs))
-        best_cost = float(costs[best_idx])
-        best_solution = solutions[best_idx].copy()
-
+        best = _improve_best(solutions, costs, (math.inf, None))
         history = np.empty((params.max_iterations, 2), dtype=float)
 
-        def propose(base_rows: np.ndarray, partner_rows: np.ndarray) -> np.ndarray:
-            if params.mutate_all_dims:
-                phi = rng.uniform(-1.0, 1.0, (base_rows.shape[0], dim))
-                trial = base_rows + phi * (base_rows - partner_rows)
-            else:
-                cols = rng.integers(0, dim, base_rows.shape[0])
-                phi = rng.uniform(-1.0, 1.0, base_rows.shape[0])
-                rows = np.arange(base_rows.shape[0])
-                trial = base_rows.copy()
-                trial[rows, cols] = base_rows[rows, cols] + phi * (
-                    base_rows[rows, cols] - partner_rows[rows, cols]
-                )
-            return np.clip(trial, lower, upper)
-
         for iteration in range(params.max_iterations):
-            # Employed phase: one trial per source, built from a snapshot.
-            partners = _partners(rng, np.arange(tau), tau)
-            trials = propose(solutions, solutions[partners])
-            trial_costs = evaluate(trials)
-            for i in range(tau):
-                if trial_costs[i] < costs[i]:
-                    solutions[i] = trials[i]
-                    costs[i] = trial_costs[i]
-                    fits[i] = 1.0 / (1.0 + trial_costs[i])
-                    stagnation[i] = 0
-                else:
-                    stagnation[i] += 1
-            m = int(np.argmin(costs))
-            if costs[m] < best_cost:
-                best_cost = float(costs[m])
-                best_solution = solutions[m].copy()
-
-            # Onlooker phase: fitness-proportional retries of the snapshot.
-            selected = _roulette_many(fits, rng, tau)
-            partners = _partners(rng, selected, tau)
-            trials = propose(solutions[selected], solutions[partners])
-            trial_costs = evaluate(trials)
-            for t in range(tau):
-                i = int(selected[t])
-                if trial_costs[t] < costs[i]:
-                    solutions[i] = trials[t]
-                    costs[i] = trial_costs[t]
-                    fits[i] = 1.0 / (1.0 + trial_costs[t])
-                    stagnation[i] = 0
-                else:
-                    stagnation[i] += 1
-            m = int(np.argmin(costs))
-            if costs[m] < best_cost:
-                best_cost = float(costs[m])
-                best_solution = solutions[m].copy()
+            # Employed phase: one trial per source.  Onlooker phase:
+            # fitness-proportional retries.  Each phase builds its trials from
+            # a snapshot of the colony and then applies greedy replacement.
+            for onlooker in (False, True):
+                targets = roulette_many(fits, rng, tau) if onlooker else np.arange(tau)
+                partners = _partners(rng, targets, tau)
+                trials = propose(
+                    solutions[targets], solutions[partners], rng, lower, upper,
+                    params.mutate_all_dims,
+                )
+                trial_costs, trial_fits = evaluate(trials)
+                for t, i in enumerate(targets):
+                    if trial_costs[t] < costs[i]:
+                        solutions[i] = trials[t]
+                        costs[i] = trial_costs[t]
+                        fits[i] = trial_fits[t]
+                        stagnation[i] = 0
+                    else:
+                        stagnation[i] += 1
+                best = _improve_best(solutions, costs, best)
 
             # Scout phase: abandon exhausted sources.  The streak can grow by
             # two per iteration, so the trigger is >= rather than ==.
             scouts = np.flatnonzero(stagnation >= params.abandonment_threshold)
             if scouts.size:
                 fresh = rng.uniform(lower, upper, (scouts.size, dim))
-                fresh_costs = evaluate(fresh)
-                for t, i in enumerate(scouts):
-                    solutions[i] = fresh[t]
-                    costs[i] = fresh_costs[t]
-                    fits[i] = 1.0 / (1.0 + fresh_costs[t])
-                    stagnation[i] = 0
-                    scout_counts[i] += 1
-                m = int(np.argmin(costs))
-                if costs[m] < best_cost:
-                    best_cost = float(costs[m])
-                    best_solution = solutions[m].copy()
+                solutions[scouts] = fresh
+                costs[scouts], fits[scouts] = evaluate(fresh)
+                stagnation[scouts] = 0
+                scout_counts[scouts] += 1
+                best = _improve_best(solutions, costs, best)
 
-            history[iteration, 0] = best_cost
-            history[iteration, 1] = costs.mean()
+            history[iteration] = best[0], costs.mean()
     finally:
         if pool is not None:
             pool.shutdown()
 
+    best_cost, best_solution = best
     population = tuple(
         FoodSource(
             solution=solutions[i].copy(),

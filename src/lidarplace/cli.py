@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +200,7 @@ def cmd_optimize(args) -> int:
 
     poses = cost.poses_from_vector(result.best_solution, len(models))
     report = cost.evaluate_placement(poses, models, grid)
-
-    labels = first_level_labels(poses, models, grid)
-    comp, _ = component_ids(labels, grid)
-    csv_path, ply_path = _write_voxel_export(out, grid, labels, comp)
+    csv_path, ply_path = _write_voxel_export(out, grid, report.labels, report.component_ids)
     _write_convergence_csv(out / "convergence.csv", result.history)
     _write_json(
         out / "results.json",
@@ -287,14 +285,7 @@ def cmd_sweep(args) -> int:
     for name in model_names:
         best_by_count = []
         for count in counts:
-            cell = Scenario(
-                roi=scenario.roi,
-                models=scenario.models,
-                lidars=((name, count),),
-                bounds=scenario.bounds,
-                abc=scenario.abc,
-                odr=scenario.odr,
-            )
+            cell = replace(scenario, lidars=((name, count),))
             try:
                 grid = build_voxel_grid(cell.roi)
                 models = cell.model_sequence()
@@ -410,9 +401,9 @@ def cmd_odr(args) -> int:
 
 
 def cmd_export_voxels(args) -> int:
-    out = _out_dir(args)
     poses, scenario_data = _poses_from_record(args.record)
     scenario = with_seed(_parse_record_scenario(scenario_data), args.seed)
+    out = _out_dir(args)
     grid = build_voxel_grid(scenario.roi)
     models = scenario.model_sequence()
     if len(poses) != len(models):

@@ -1,11 +1,11 @@
 """Subspace size metrics and the worst-subspace objective.
 
 A subspace's volume is its voxel count times the voxel volume.  Its surface
-area is counted per face orientation with a sort-and-scan over voxel indices:
-sort the set, count pairs adjacent along the scan axis, and charge two faces
-for every unpaired slot.  A face is "surface" whenever the face-adjacent voxel
-is not in the same set; ROI boundary, excluded region, and other-subspace
-neighbors all count identically.
+area is counted per face orientation on the voxel grid: every face shared by
+two voxels of the same component is interior, and each voxel's two faces
+along an axis are exposed unless paired that way.  A face is "surface"
+whenever the face-adjacent voxel is not in the same component; ROI boundary,
+excluded region, and other-subspace neighbors all count identically.
 
 The placement objective is the maximum volume-to-surface-area ratio (VSR)
 over all subspaces; ``3 * VSR`` estimates the radius of the largest sphere
@@ -14,46 +14,24 @@ that fits inside, so minimizing the maximum VSR shrinks the worst blind spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .geometry import LidarModel, PoseBounds, PoseConfig, RoiSpec, VoxelGrid, build_voxel_grid
-from .segmentation import SubspaceSet, component_ids, first_level_labels
+from .segmentation import _axis_pair_slices, component_ids, first_level_labels
 
 __all__ = [
-    "SubspaceMetrics",
     "SubspaceRecord",
     "PlacementReport",
-    "volume",
-    "surface_area_axis",
-    "surface_area",
-    "vsr",
-    "subspace_metrics",
+    "component_metrics",
     "max_vsr",
     "evaluate_placement",
     "poses_from_vector",
     "decision_bounds",
     "make_objective",
 ]
-
-# Orientation -> (scan axis, face-area resolution components).
-_AXIS_PLAN = {
-    "xy": (2, 0, 1),
-    "xz": (1, 0, 2),
-    "yz": (0, 1, 2),
-}
-
-
-@dataclass(frozen=True)
-class SubspaceMetrics:
-    """Size measures of one subspace; ``inscribed_radius_estimate = 3 * vsr``."""
-
-    volume: float
-    surface_area: float
-    vsr: float
-    inscribed_radius_estimate: float
 
 
 @dataclass(frozen=True)
@@ -71,79 +49,20 @@ class SubspaceRecord:
 
 @dataclass(frozen=True, eq=False)
 class PlacementReport:
-    """Objective value plus the full per-subspace metrics table."""
+    """Objective value plus the full per-subspace metrics table.
+
+    ``labels`` and ``component_ids`` are the per-active-voxel codes and
+    component ids the table was computed from.
+    """
 
     objective: float
     subspaces: tuple[SubspaceRecord, ...]
+    labels: np.ndarray = field(repr=False)
+    component_ids: np.ndarray = field(repr=False)
 
     @property
     def worst(self) -> SubspaceRecord:
         return max(self.subspaces, key=lambda rec: rec.vsr)
-
-
-def _indices_of(subspace) -> np.ndarray:
-    if isinstance(subspace, SubspaceSet):
-        idx = subspace.voxel_indices
-    else:
-        idx = np.asarray(subspace, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 3 or idx.shape[0] == 0:
-        raise ValueError("subspace must be a non-empty (n, 3) array of voxel indices")
-    return idx
-
-
-def volume(subspace, resolution) -> float:
-    """Volume in m^3: voxel volume times voxel count."""
-    idx = _indices_of(subspace)
-    ex, ey, ez = (float(c) for c in np.asarray(resolution, dtype=float))
-    return ex * ey * ez * idx.shape[0]
-
-
-def surface_area_axis(subspace, resolution, axis: str) -> float:
-    """Surface area of the faces parallel to one coordinate plane, in m^2.
-
-    ``axis`` is "xy", "xz", or "yz".  For "xy" the voxels are sorted by
-    (x, y, z) and pairs adjacent along z are counted; each of the
-    ``n - pairs`` runs exposes two xy faces.  The result is independent of the
-    input voxel order.
-    """
-    if axis not in _AXIS_PLAN:
-        raise ValueError(f"axis must be one of {sorted(_AXIS_PLAN)}, got {axis!r}")
-    idx = _indices_of(subspace)
-    res = np.asarray(resolution, dtype=float)
-    scan, fa, fb = _AXIS_PLAN[axis]
-    keys = [a for a in range(3) if a != scan]
-    order = np.lexsort((idx[:, scan], idx[:, keys[1]], idx[:, keys[0]]))
-    srt = idx[order]
-    adjacent = (
-        (srt[1:, keys[0]] == srt[:-1, keys[0]])
-        & (srt[1:, keys[1]] == srt[:-1, keys[1]])
-        & (srt[1:, scan] == srt[:-1, scan] + 1)
-    )
-    pairs = int(np.count_nonzero(adjacent))
-    return (2 * (idx.shape[0] - pairs)) * (float(res[fa]) * float(res[fb]))
-
-
-def surface_area(subspace, resolution) -> float:
-    """Total surface area: the xy, xz, and yz contributions summed."""
-    return (
-        surface_area_axis(subspace, resolution, "xy")
-        + surface_area_axis(subspace, resolution, "xz")
-        + surface_area_axis(subspace, resolution, "yz")
-    )
-
-
-def vsr(subspace, resolution) -> float:
-    """Volume-to-surface-area ratio in meters."""
-    return volume(subspace, resolution) / surface_area(subspace, resolution)
-
-
-def subspace_metrics(subspace, resolution) -> SubspaceMetrics:
-    v = volume(subspace, resolution)
-    sa = surface_area(subspace, resolution)
-    ratio = v / sa
-    return SubspaceMetrics(
-        volume=v, surface_area=sa, vsr=ratio, inscribed_radius_estimate=3.0 * ratio
-    )
 
 
 def _as_grid(roi) -> VoxelGrid:
@@ -154,24 +73,26 @@ def _as_grid(roi) -> VoxelGrid:
     raise TypeError("roi must be a RoiSpec or a prebuilt VoxelGrid")
 
 
-def _component_table(configs, models, grid):
-    """Labels, component ids, and per-component (count, volume, sa, vsr) arrays."""
-    if grid.num_active == 0:
-        raise ValueError("ROI has no active voxels; nothing to evaluate")
-    labels = first_level_labels(configs, models, grid)
-    comp, count = component_ids(labels, grid)
+def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
+    """Per-component ``(sizes, volume, surface_area, vsr)`` arrays.
+
+    ``comp`` holds a component id in ``[0, count)`` for every active voxel of
+    ``grid``, aligned with ``grid.active_indices``.  Row ``c`` of each array
+    describes component ``c``: its voxel count, volume in m^3, surface area in
+    m^2, and volume-to-surface-area ratio in meters.
+    """
+    comp = np.asarray(comp)
+    if comp.shape != (grid.num_active,):
+        raise ValueError("component ids must align with the grid's active voxels")
     sizes = np.bincount(comp, minlength=count)
 
     comp_grid = np.full(grid.dims, -1, dtype=np.int64)
     comp_grid[grid.active] = comp
     pair_counts = []
     for axis in (2, 1, 0):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        a = comp_grid[tuple(lo)]
-        b = comp_grid[tuple(hi)]
+        lo, hi = _axis_pair_slices(axis)
+        a = comp_grid[lo]
+        b = comp_grid[hi]
         mask = (a >= 0) & (a == b)
         pair_counts.append(np.bincount(a[mask], minlength=count))
     pairs_z, pairs_y, pairs_x = pair_counts
@@ -183,7 +104,16 @@ def _component_table(configs, models, grid):
         + (2 * (sizes - pairs_x)) * (ey * ez)
     )
     vol = (ex * ey * ez) * sizes
-    return labels, comp, sizes, vol, sa, vol / sa
+    return sizes, vol, sa, vol / sa
+
+
+def _segment(configs, models, grid):
+    """Per-voxel codes, component ids, and the component count."""
+    if grid.num_active == 0:
+        raise ValueError("ROI has no active voxels; nothing to evaluate")
+    labels = first_level_labels(configs, models, grid)
+    comp, count = component_ids(labels, grid)
+    return labels, comp, count
 
 
 def max_vsr(configs: Sequence[PoseConfig], models: Sequence[LidarModel], roi) -> float:
@@ -197,8 +127,8 @@ def max_vsr(configs: Sequence[PoseConfig], models: Sequence[LidarModel], roi) ->
     values.  See :func:`evaluate_placement` for the per-subspace table.
     """
     grid = _as_grid(roi)
-    _, _, _, _, _, ratios = _component_table(configs, models, grid)
-    return float(ratios.max())
+    _, comp, count = _segment(configs, models, grid)
+    return float(component_metrics(comp, count, grid)[3].max())
 
 
 def evaluate_placement(
@@ -206,7 +136,8 @@ def evaluate_placement(
 ) -> PlacementReport:
     """Per-subspace metrics table plus the max-VSR objective."""
     grid = _as_grid(roi)
-    labels, comp, sizes, vol, sa, ratios = _component_table(configs, models, grid)
+    labels, comp, count = _segment(configs, models, grid)
+    sizes, vol, sa, ratios = component_metrics(comp, count, grid)
     _, first_rows = np.unique(comp, return_index=True)
     records = tuple(
         SubspaceRecord(
@@ -218,9 +149,11 @@ def evaluate_placement(
             vsr=float(ratios[cid]),
             inscribed_radius_estimate=float(3.0 * ratios[cid]),
         )
-        for cid in range(sizes.size)
+        for cid in range(count)
     )
-    return PlacementReport(objective=float(ratios.max()), subspaces=records)
+    return PlacementReport(
+        objective=float(ratios.max()), subspaces=records, labels=labels, component_ids=comp
+    )
 
 
 def poses_from_vector(vector, num_lidars: int) -> tuple[PoseConfig, ...]:

@@ -75,6 +75,12 @@ class OdrReport:
     threshold: int
 
 
+def _occupied(centers: np.ndarray, comp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Number of distinct component ids among the centers inside ``[lo, hi]``."""
+    inside = np.all((centers >= lo) & (centers <= hi), axis=1)
+    return int(np.unique(comp[inside]).size) if inside.any() else 0
+
+
 def count_occupied_subspaces(box: Box, component_ids_per_voxel, grid: VoxelGrid) -> int:
     """Number of distinct subspaces whose voxel centers lie inside ``box``.
 
@@ -84,10 +90,7 @@ def count_occupied_subspaces(box: Box, component_ids_per_voxel, grid: VoxelGrid)
     comp = np.asarray(component_ids_per_voxel)
     if comp.shape != (grid.num_active,):
         raise ValueError("component ids must align with the grid's active voxels")
-    inside = box.contains(grid.active_centers)
-    if not inside.any():
-        return 0
-    return int(np.unique(comp[inside]).size)
+    return _occupied(grid.active_centers, comp, box.minimum, box.maximum)
 
 
 def estimate_odr(
@@ -119,14 +122,7 @@ def estimate_odr(
 
     corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
     centers = grid.active_centers
-    detections = 0
-    for t in range(trials):
-        lo = corners[t]
-        hi = lo + obj.dims
-        inside = np.all((centers >= lo) & (centers <= hi), axis=1)
-        occupied = int(np.unique(comp[inside]).size) if inside.any() else 0
-        if occupied > threshold:
-            detections += 1
+    detections = sum(_occupied(centers, comp, lo, lo + obj.dims) > threshold for lo in corners)
     return OdrReport(
         trials=trials,
         detections=detections,

@@ -87,17 +87,48 @@ class Scenario:
         return tuple(out)
 
 
+def _number(value, context: str, code: str = "SCHEMA_FIELD") -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(code, f"{context} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(code, f"{context} is out of range: {value!r}") from None
+
+
+def _integer(value, context: str) -> int:
+    if not _number(value, context).is_integer():
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must be a list")
+    return value
+
+
+def _build(factory, context: str, *args, **kwargs):
+    """``factory(*args, **kwargs)``, reporting its ``ValueError`` as SCHEMA_INVALID."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError("SCHEMA_INVALID", f"{context}: {exc}") from exc
+
+
 def parse_angle(value) -> float:
     """Angle in radians from a number, ``{"deg"|"rad": x}``, or ``"15deg"``."""
-    if isinstance(value, bool):
-        raise ScenarioError("ANGLE_INVALID", f"not an angle: {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, dict):
         if set(value) == {"deg"}:
-            return math.radians(float(value["deg"]))
+            return math.radians(_number(value["deg"], "angle", "ANGLE_INVALID"))
         if set(value) == {"rad"}:
-            return float(value["rad"])
+            return _number(value["rad"], "angle", "ANGLE_INVALID")
         raise ScenarioError("ANGLE_INVALID", f"angle object needs a single deg/rad key: {value!r}")
     if isinstance(value, str):
         text = value.strip().lower()
@@ -108,7 +139,7 @@ def parse_angle(value) -> float:
                 except ValueError:
                     break
         raise ScenarioError("ANGLE_INVALID", f"angle strings need a deg/rad suffix: {value!r}")
-    raise ScenarioError("ANGLE_INVALID", f"not an angle: {value!r}")
+    return _number(value, "angle", "ANGLE_INVALID")
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -117,16 +148,16 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError("SCHEMA_FIELD", f"{context} must be a number, got {value!r}")
-    return float(value)
-
-
 def _vec(value, context: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ScenarioError("SCHEMA_FIELD", f"{context} must be a 3-element list")
     return [_number(v, context) for v in value]
+
+
+def _box(data, context: str) -> Box:
+    lo = _vec(_require(data, "min", context), f"{context}.min")
+    hi = _vec(_require(data, "max", context), f"{context}.max")
+    return _build(Box, context, minimum=lo, maximum=hi)
 
 
 def parse_pose(data, context: str = "pose") -> PoseConfig:
@@ -138,10 +169,7 @@ def parse_pose(data, context: str = "pose") -> PoseConfig:
     angles = {
         name: parse_angle(data.get(name, 0.0)) for name in ("yaw", "pitch", "roll")
     }
-    try:
-        return PoseConfig(position=position, **angles)
-    except ValueError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"{context}: {exc}") from exc
+    return _build(PoseConfig, context, position=position, **angles)
 
 
 def _parse_bound_vector(value, context: str) -> PoseConfig:
@@ -149,16 +177,9 @@ def _parse_bound_vector(value, context: str) -> PoseConfig:
         raise ScenarioError(
             "SCHEMA_FIELD", f"{context} must list [x, y, z, yaw, pitch, roll]"
         )
-    angles = [parse_angle(v) for v in value[3:]]
-    try:
-        return PoseConfig(
-            position=[_number(v, context) for v in value[:3]],
-            yaw=angles[0],
-            pitch=angles[1],
-            roll=angles[2],
-        )
-    except ValueError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"{context}: {exc}") from exc
+    yaw, pitch, roll = (parse_angle(v) for v in value[3:])
+    position = [_number(v, context) for v in value[:3]]
+    return _build(PoseConfig, context, position=position, yaw=yaw, pitch=pitch, roll=roll)
 
 
 def _parse_model(data, name: str) -> LidarModel:
@@ -166,20 +187,14 @@ def _parse_model(data, name: str) -> LidarModel:
     if not isinstance(data, dict):
         raise ScenarioError("SCHEMA_FIELD", f"{context} must be an object")
     if "beam_pitches" in data:
-        pitches = [parse_angle(v) for v in data["beam_pitches"]]
-        try:
-            return LidarModel(beam_pitches=np.asarray(pitches, dtype=float))
-        except ValueError as exc:
-            raise ScenarioError("SCHEMA_INVALID", f"{context}: {exc}") from exc
+        pitches = [parse_angle(v) for v in _list(data["beam_pitches"], f"{context}.beam_pitches")]
+        return _build(LidarModel, context, beam_pitches=np.asarray(pitches, dtype=float))
     if "evenly_spaced" in data:
         spec = data["evenly_spaced"]
-        count = int(_number(_require(spec, "count", f"{context}.evenly_spaced"), f"{context}.count"))
+        count = _integer(_require(spec, "count", f"{context}.evenly_spaced"), f"{context}.count")
         start = parse_angle(_require(spec, "start", f"{context}.evenly_spaced"))
         stop = parse_angle(_require(spec, "stop", f"{context}.evenly_spaced"))
-        try:
-            return LidarModel.evenly_spaced(count, start, stop)
-        except ValueError as exc:
-            raise ScenarioError("SCHEMA_INVALID", f"{context}: {exc}") from exc
+        return _build(LidarModel.evenly_spaced, context, count, start, stop)
     raise ScenarioError(
         "SCHEMA_FIELD", f"{context} needs either beam_pitches or evenly_spaced"
     )
@@ -190,7 +205,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("SCHEMA_INVALID", "scenario must be a JSON object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ScenarioError(
             "SCHEMA_VERSION", f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
@@ -206,18 +221,9 @@ def parse_scenario(data: dict) -> Scenario:
             "GRID_NOT_DIVISIBLE",
             "roi extent must be an integer multiple of the resolution on every axis",
         )
-    boxes = []
-    for i, box_data in enumerate(roi_data.get("excluded_boxes", [])):
-        lo = _vec(_require(box_data, "min", f"roi.excluded_boxes[{i}]"), "box min")
-        hi = _vec(_require(box_data, "max", f"roi.excluded_boxes[{i}]"), "box max")
-        try:
-            boxes.append(Box(minimum=lo, maximum=hi))
-        except ValueError as exc:
-            raise ScenarioError("SCHEMA_INVALID", f"roi.excluded_boxes[{i}]: {exc}") from exc
-    try:
-        roi = RoiSpec(extent=extent, resolution=resolution, excluded_boxes=tuple(boxes))
-    except ValueError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"roi: {exc}") from exc
+    boxes_data = _list(roi_data.get("excluded_boxes", []), "roi.excluded_boxes")
+    boxes = tuple(_box(box, f"roi.excluded_boxes[{i}]") for i, box in enumerate(boxes_data))
+    roi = _build(RoiSpec, "roi", extent=extent, resolution=resolution, excluded_boxes=boxes)
 
     models_data = _require(data, "models", "scenario")
     if not isinstance(models_data, dict) or not models_data:
@@ -230,12 +236,12 @@ def parse_scenario(data: dict) -> Scenario:
     lidars = []
     for i, entry in enumerate(lidars_data):
         name = _require(entry, "model", f"lidars[{i}]")
-        if name not in models:
+        if not isinstance(name, str) or name not in models:
             raise ScenarioError("MODEL_UNKNOWN", f"lidars[{i}] references unknown model {name!r}")
-        count = int(_number(entry.get("count", 1), f"lidars[{i}].count"))
+        count = _integer(entry.get("count", 1), f"lidars[{i}].count")
         if count < 1:
             raise ScenarioError("SCHEMA_INVALID", f"lidars[{i}].count must be >= 1")
-        lidars.append((str(name), count))
+        lidars.append((name, count))
 
     bounds_data = _require(data, "bounds", "scenario")
     lower = _parse_bound_vector(_require(bounds_data, "lower", "bounds"), "bounds.lower")
@@ -245,42 +251,38 @@ def parse_scenario(data: dict) -> Scenario:
     bounds = PoseBounds(lower=lower, upper=upper)
 
     abc_data = _require(data, "abc", "scenario")
-    try:
-        abc = AbcParams(
-            num_bees=int(_number(_require(abc_data, "num_bees", "abc"), "abc.num_bees")),
-            max_iterations=int(
-                _number(_require(abc_data, "max_iterations", "abc"), "abc.max_iterations")
-            ),
-            abandonment_threshold=int(
-                _number(abc_data.get("abandonment_threshold", 100), "abc.abandonment_threshold")
-            ),
-            rng_seed=int(_number(abc_data.get("rng_seed", 0), "abc.rng_seed")),
-            mutate_all_dims=bool(abc_data.get("mutate_all_dims", False)),
-        )
-    except ValueError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"abc: {exc}") from exc
+    abc = _build(
+        AbcParams,
+        "abc",
+        num_bees=_integer(_require(abc_data, "num_bees", "abc"), "abc.num_bees"),
+        max_iterations=_integer(_require(abc_data, "max_iterations", "abc"), "abc.max_iterations"),
+        abandonment_threshold=_integer(
+            abc_data.get("abandonment_threshold", 100), "abc.abandonment_threshold"
+        ),
+        rng_seed=_integer(abc_data.get("rng_seed", 0), "abc.rng_seed"),
+        mutate_all_dims=_bool(abc_data.get("mutate_all_dims", False), "abc.mutate_all_dims"),
+    )
 
     odr_data = data.get("odr", {})
+    if not isinstance(odr_data, dict):
+        raise ScenarioError("SCHEMA_FIELD", "odr must be an object")
     region = None
     if "placement_region" in odr_data:
-        region_data = odr_data["placement_region"]
-        region = Box(
-            minimum=_vec(_require(region_data, "min", "odr.placement_region"), "min"),
-            maximum=_vec(_require(region_data, "max", "odr.placement_region"), "max"),
-        )
-    try:
-        obj = ObjectSpec(
-            dims=_vec(odr_data.get("object_dims", [0.5, 0.5, 1.7]), "odr.object_dims"),
-            placement_region=region,
-        )
-        obj.corner_region(roi.extent)
-        settings = OdrSettings(
-            obj=obj,
-            trials=int(_number(odr_data.get("trials", 1000), "odr.trials")),
-            threshold=int(_number(odr_data.get("threshold", 1), "odr.threshold")),
-        )
-    except ValueError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"odr: {exc}") from exc
+        region = _box(odr_data["placement_region"], "odr.placement_region")
+    obj = _build(
+        ObjectSpec,
+        "odr",
+        dims=_vec(odr_data.get("object_dims", [0.5, 0.5, 1.7]), "odr.object_dims"),
+        placement_region=region,
+    )
+    _build(obj.corner_region, "odr", roi.extent)
+    settings = _build(
+        OdrSettings,
+        "odr",
+        obj=obj,
+        trials=_integer(odr_data.get("trials", 1000), "odr.trials"),
+        threshold=_integer(odr_data.get("threshold", 1), "odr.threshold"),
+    )
 
     return Scenario(roi=roi, models=models, lidars=tuple(lidars), bounds=bounds, abc=abc, odr=settings)
 
@@ -365,11 +367,4 @@ def with_seed(scenario: Scenario, seed: int | None) -> Scenario:
     """Scenario with the colony seed overridden (no-op for ``None``)."""
     if seed is None:
         return scenario
-    return Scenario(
-        roi=scenario.roi,
-        models=scenario.models,
-        lidars=scenario.lidars,
-        bounds=scenario.bounds,
-        abc=replace(scenario.abc, rng_seed=int(seed)),
-        odr=scenario.odr,
-    )
+    return replace(scenario, abc=replace(scenario.abc, rng_seed=int(seed)))

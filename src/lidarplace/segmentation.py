@@ -13,7 +13,6 @@ static object strictly inside it intersects no beam cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,37 +23,17 @@ from .geometry import LidarModel, PoseConfig, VoxelGrid, world_to_lidar
 
 __all__ = [
     "SubspaceCode",
-    "SubspaceSet",
-    "beam_digit",
     "beam_digits",
     "first_level_labels",
     "component_ids",
-    "connected_components",
 ]
 
 # One digit per LiDAR, each in [0, num_beams of that LiDAR].
 SubspaceCode = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceSet:
-    """A face-connected set of active voxels sharing one subspace code.
-
-    ``voxel_indices`` is an ``(n, 3)`` integer array, sorted lexicographically.
-    Component ids are assigned by lexicographic order of each component's
-    minimum voxel index, so outputs are byte-stable across runs.
-    """
-
-    code: SubspaceCode
-    component_id: int
-    voxel_indices: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.voxel_indices.shape[0])
-
-
-def beam_digit(model: LidarModel, local_point) -> int:
-    """Band digit of a single point given in the LiDAR's local frame.
+def beam_digits(model: LidarModel, local_points) -> np.ndarray:
+    """Band digit of each point of an ``(n, 3)`` array given in the LiDAR's local frame.
 
     With beam cone heights ``t_k = tan(pitch_k) * r`` at radial distance
     ``r = sqrt(x^2 + y^2)``, the digit is the number of beams whose cone lies
@@ -63,13 +42,6 @@ def beam_digit(model: LidarModel, local_point) -> int:
     partition space, so exactly one digit applies, including on the sensor's
     vertical axis, where every ``t_k`` is 0.
     """
-    p = np.asarray(local_point, dtype=float)
-    r = np.sqrt(p[0] * p[0] + p[1] * p[1])
-    return int(np.count_nonzero(model.beam_tangents * r <= p[2]))
-
-
-def beam_digits(model: LidarModel, local_points) -> np.ndarray:
-    """Vectorized :func:`beam_digit` for an ``(n, 3)`` array of local points."""
     p = np.asarray(local_points, dtype=float)
     r = np.sqrt(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
     thresholds = model.beam_tangents[None, :] * r[:, None]
@@ -85,7 +57,7 @@ def first_level_labels(
 
     Row ``i`` holds the subspace code of ``grid.active_indices[i]``; digit
     ``j`` comes from transforming the voxel center into LiDAR ``j``'s frame
-    and applying :func:`beam_digit`.
+    and applying :func:`beam_digits`.
     """
     if len(configs) != len(models) or len(configs) == 0:
         raise ValueError("need the same nonzero number of poses and models")
@@ -165,29 +137,3 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank[inverse], int(order.size)
-
-
-def connected_components(labels: np.ndarray, grid: VoxelGrid) -> list[SubspaceSet]:
-    """Split the labeled grid into its non-detectable subspaces.
-
-    Returns one :class:`SubspaceSet` per face-connected component of
-    equal-code active voxels.  Together the sets partition the active voxels:
-    every active voxel appears in exactly one set.
-    """
-    comp, count = component_ids(labels, grid)
-    order = np.argsort(comp, kind="stable")
-    sorted_comp = comp[order]
-    boundaries = np.searchsorted(sorted_comp, np.arange(count + 1))
-    sets = []
-    for cid in range(count):
-        rows = order[boundaries[cid] : boundaries[cid + 1]]
-        indices = grid.active_indices[rows]
-        indices.flags.writeable = False
-        sets.append(
-            SubspaceSet(
-                code=tuple(int(d) for d in labels[rows[0]]),
-                component_id=cid,
-                voxel_indices=indices,
-            )
-        )
-    return sets

@@ -158,9 +158,8 @@ def assert_valid_partition(grid, labels, comp, count):
     assert total == grid.num_active, "every active voxel in exactly one component"
     import lidarplace as lp
 
-    vol_sum = sum(
-        lp.volume(grid.active_indices[rows], grid.resolution)
-        for rows in voxels_per_comp.values()
-    )
+    sizes, vol, _, _ = lp.component_metrics(comp, count, grid)
+    assert sizes.tolist() == [len(voxels_per_comp[c]) for c in range(count)]
+    vol_sum = sum(float(v) for v in vol)
     expected = grid.num_active * grid.voxel_volume
     assert abs(vol_sum - expected) <= 1e-9 * expected, "subspace volumes must sum to the ROI volume"

@@ -17,7 +17,8 @@ from scipy import stats
 
 import lidarplace as lp
 from lidarplace.cli import main as cli_main
-from oracles import assert_valid_partition, brute_force_max_vsr, exposed_face_area
+from grids import blob_metrics
+from oracles import assert_valid_partition, brute_force_max_vsr, component_vsr, exposed_face_area
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -107,9 +108,12 @@ def test_criterion_1_surface_area_oracle_equivalence():
         size = int(rng.integers(1, 501))
         blob = _grown_blob(rng, size)
         res = rng.uniform(0.1, 2.5, 3)
-        produced = lp.surface_area(blob, res)
-        expected = exposed_face_area(map(tuple, blob.tolist()), res)
-        assert produced == expected, f"surface area mismatch on a {size}-voxel set"
+        _, produced_sa, produced_vsr = blob_metrics(blob, res)
+        cells = list(map(tuple, blob.tolist()))
+        assert produced_sa == exposed_face_area(cells, res), (
+            f"surface area mismatch on a {size}-voxel set"
+        )
+        assert produced_vsr == component_vsr(cells, res), f"VSR mismatch on a {size}-voxel set"
         checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 10s"

@@ -9,20 +9,36 @@ def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
 
 
-class _FixedPhi:
-    """rng stand-in whose uniform() always returns one value."""
+class _FixedDraws:
+    """rng stand-in for ``propose``: every row moves coordinate ``column``.
 
-    def __init__(self, value):
-        self.value = value
+    ``phi`` is the fixed move factor, or a Generator to draw it from.
+    """
 
-    def uniform(self, low, high):
-        return self.value
+    def __init__(self, column, phi):
+        self.column = column
+        self.phi = phi
+
+    def integers(self, low, high, size):
+        return np.full(size, self.column)
+
+    def uniform(self, low, high, size):
+        if isinstance(self.phi, np.random.Generator):
+            return self.phi.uniform(low, high, size)
+        return np.full(size, self.phi)
+
+
+def move(x, k, column, phi, lower, upper):
+    """One local move of ``x`` toward/away from partner ``k`` along ``column``."""
+    rows = lp.propose(np.array([x]), np.array([k]), _FixedDraws(column, phi), lower, upper)
+    return rows[0]
 
 
 class TestFitness:
     def test_reference_points(self):
         assert lp.fitness(0.0) == 1.0
         assert lp.fitness(1.0) == 0.5
+        assert lp.fitness([0.0, 1.0]).tolist() == [1.0, 0.5]
 
     def test_strictly_decreasing(self):
         costs = np.linspace(0, 10, 50)
@@ -30,7 +46,7 @@ class TestFitness:
         assert all(a > b for a, b in zip(fits, fits[1:]))
 
     def test_rejects_bad_costs(self):
-        for bad in (-1.0, float("nan"), float("inf")):
+        for bad in (-1.0, float("nan"), float("inf"), [0.0, -1.0]):
             with pytest.raises(ValueError):
                 lp.fitness(bad)
 
@@ -39,14 +55,14 @@ class TestRouletteSelect:
     def test_uniform_fitness_uniform_frequencies(self):
         rng = np.random.default_rng(41)
         fits = np.ones(4)
-        draws = np.array([lp.roulette_select(fits, rng) for _ in range(100_000)])
+        draws = lp.roulette_many(fits, rng, 100_000)
         freq = np.bincount(draws, minlength=4) / draws.size
         assert np.abs(freq - 0.25).max() < 0.02
 
     def test_three_to_one_odds(self):
         rng = np.random.default_rng(42)
         fits = np.array([3.0, 1.0])
-        draws = np.array([lp.roulette_select(fits, rng) for _ in range(100_000)])
+        draws = lp.roulette_many(fits, rng, 100_000)
         freq = np.bincount(draws, minlength=2) / draws.size
         assert abs(freq[0] - 0.75) < 0.02
         assert abs(freq[1] - 0.25) < 0.02
@@ -55,7 +71,7 @@ class TestRouletteSelect:
         rng = np.random.default_rng(43)
         fits = np.array([0.5, 0.25, 0.15, 0.10])
         n = 50_000
-        draws = np.array([lp.roulette_select(fits, rng) for _ in range(n)])
+        draws = lp.roulette_many(fits, rng, n)
         counts = np.bincount(draws, minlength=4)
         expected = fits / fits.sum() * n
         result = stats.chisquare(counts, expected)
@@ -65,13 +81,13 @@ class TestRouletteSelect:
         rng = np.random.default_rng(47)
         fits = np.array([1.0, 1e-9, 1e-9, 1e-9])
         n = 20_000
-        draws = np.array([lp.roulette_select(fits, rng) for _ in range(n)])
+        draws = lp.roulette_many(fits, rng, n)
         assert np.count_nonzero(draws == 0) >= n - 2
 
     def test_rejects_non_positive(self):
         rng = np.random.default_rng(44)
         with pytest.raises(ValueError):
-            lp.roulette_select([1.0, 0.0], rng)
+            lp.roulette_many([1.0, 0.0], rng, 1)
 
 
 class TestNeighbor:
@@ -80,18 +96,18 @@ class TestNeighbor:
         x = np.array([1.0, 2.0, 3.0])
         lo, hi = np.full(3, -10.0), np.full(3, 10.0)
         for j in range(3):
-            assert np.array_equal(lp.neighbor(x, x.copy(), j, rng, lo, hi), x)
+            assert np.array_equal(move(x, x.copy(), j, rng, lo, hi), x)
 
     def test_zero_phi_is_noop(self):
         x = np.array([1.0, 2.0])
         k = np.array([0.5, -1.0])
         lo, hi = np.full(2, -5.0), np.full(2, 5.0)
-        assert np.array_equal(lp.neighbor(x, k, 1, _FixedPhi(0.0), lo, hi), x)
+        assert np.array_equal(move(x, k, 1, 0.0, lo, hi), x)
 
     def test_clamped_to_upper_bound(self):
         x = np.array([1.0])
         k = np.array([0.0])
-        v = lp.neighbor(x, k, 0, _FixedPhi(0.9), np.array([0.0]), np.array([1.5]))
+        v = move(x, k, 0, 0.9, np.array([0.0]), np.array([1.5]))
         assert v[0] == 1.5  # 1 + 0.9 * (1 - 0) = 1.9, clamped
 
     def test_only_chosen_dimension_moves(self):
@@ -99,7 +115,7 @@ class TestNeighbor:
         x = np.array([1.0, 2.0, 3.0])
         k = np.array([0.0, 0.0, 0.0])
         lo, hi = np.full(3, -10.0), np.full(3, 10.0)
-        v = lp.neighbor(x, k, 2, rng, lo, hi)
+        v = move(x, k, 2, rng, lo, hi)
         assert v[0] == x[0] and v[1] == x[1]
 
 

@@ -83,6 +83,25 @@ class TestOptimize:
         assert "error[GRID_NOT_DIVISIBLE]" in capsys.readouterr().err
 
 
+    def test_negative_seed_fails_before_out_is_created(self, tiny_scenario, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["--scenario", str(tiny_scenario), "--out", str(out), "--seed", "-1"]
+        assert main(["optimize", *argv]) == 3
+        assert "error[INVALID_VALUE]" in capsys.readouterr().err
+        negative = dict(TINY, abc=dict(TINY["abc"], rng_seed=-1))
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(negative), encoding="utf-8")
+        assert main(["optimize", "--scenario", str(path), "--out", str(out)]) == 3
+        assert "error[SCHEMA_INVALID]" in capsys.readouterr().err
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps({
+            "best_poses": [{"position": [4.0, 4.0, 3.0]}],
+            "scenario": lp.canonical_dict(lp.parse_scenario(TINY)),
+        }), encoding="utf-8")
+        assert main(["export-voxels", "--record", str(record), "--out", str(out), "--seed", "-1"]) == 3
+        assert not out.exists()
+
+
 class TestEvaluate:
     def write_poses(self, tmp_path, poses):
         path = tmp_path / "poses.json"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import lidarplace as lp
+from grids import blob_grid, blob_metrics, single_component_metrics
 from oracles import (
     assert_valid_partition,
     brute_force_max_vsr,
+    component_vsr,
     exposed_face_area,
 )
 
@@ -26,41 +28,47 @@ def random_blob(rng, max_size=60):
 
 class TestVolume:
     def test_single_voxel(self):
-        assert lp.volume(np.array([[0, 0, 0]]), RES) == pytest.approx(0.1, rel=1e-12)
+        assert blob_metrics([[0, 0, 0]], RES)[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_full_reference_block(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[60, 20, 4], resolution=RES))
-        assert lp.volume(grid.active_indices, RES) == pytest.approx(4800.0, rel=1e-12)
+        assert single_component_metrics(grid)[0] == pytest.approx(4800.0, rel=1e-12)
 
     def test_unit_cube(self):
         idx = np.array([(i, j, k) for i in range(3) for j in range(3) for k in range(3)])
-        assert lp.volume(idx, [1, 1, 1]) == 27.0
+        assert blob_metrics(idx, [1, 1, 1])[0] == 27.0
 
     def test_empty_rejected(self):
+        # component ids must cover every active voxel; an empty labelling does not
+        grid = blob_grid([[0, 0, 0]], RES)
         with pytest.raises(ValueError):
-            lp.volume(np.empty((0, 3), dtype=np.int64), RES)
+            lp.component_metrics(np.empty(0, dtype=np.int64), 0, grid)
 
 
 class TestSurfaceArea:
     def test_two_stacked_voxels_by_axis(self):
-        stack = np.array([[0, 0, 0], [0, 0, 1]])
-        assert lp.surface_area_axis(stack, RES, "xy") == pytest.approx(1.0, rel=1e-12)
-        assert lp.surface_area_axis(stack, RES, "xz") == pytest.approx(0.8, rel=1e-12)
-        assert lp.surface_area_axis(stack, RES, "yz") == pytest.approx(0.4, rel=1e-12)
-        # the stack is a 1 x 0.5 x 0.4 box
-        assert lp.surface_area(stack, RES) == pytest.approx(
-            2 * (1 * 0.5 + 1 * 0.4 + 0.5 * 0.4), rel=1e-12
+        # Stacked along z the pair is a 1 x 0.5 x 0.4 box: xy faces 1.0 m^2,
+        # xz faces 0.8 m^2, yz faces 0.4 m^2.  Along y and x it is a
+        # 1 x 1 x 0.2 and a 2 x 0.5 x 0.2 box.
+        for axis, (a, b, c) in ((2, (1, 0.5, 0.4)), (1, (1, 1.0, 0.2)), (0, (2, 0.5, 0.2))):
+            stack = np.zeros((2, 3), dtype=np.int64)
+            stack[1, axis] = 1
+            assert blob_metrics(stack, RES)[1] == pytest.approx(
+                2 * (a * b + a * c + b * c), rel=1e-12
+            )
+        assert blob_metrics([[0, 0, 0], [0, 0, 1]], RES)[1] == pytest.approx(
+            1.0 + 0.8 + 0.4, rel=1e-12
         )
 
     def test_single_voxel_closed_form(self):
         one = np.array([[4, 2, 7]])
-        assert lp.surface_area(one, RES) == pytest.approx(
+        assert blob_metrics(one, RES)[1] == pytest.approx(
             2 * (1 * 0.5 + 1 * 0.2 + 0.5 * 0.2), rel=1e-12
         )
 
     def test_full_reference_block_closed_form(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[60, 20, 4], resolution=RES))
-        assert lp.surface_area(grid.active_indices, RES) == pytest.approx(
+        assert single_component_metrics(grid)[1] == pytest.approx(
             2 * (60 * 20 + 60 * 4 + 20 * 4), rel=1e-12
         )
 
@@ -69,7 +77,7 @@ class TestSurfaceArea:
         for _ in range(50):
             blob = random_blob(rng)
             res = rng.uniform(0.1, 2.0, 3)
-            assert lp.surface_area(blob, res) == exposed_face_area(
+            assert blob_metrics(blob, res)[1] == exposed_face_area(
                 map(tuple, blob.tolist()), res
             )
 
@@ -78,33 +86,37 @@ class TestSurfaceArea:
         blob = random_blob(rng)
         shuffled = blob.copy()
         rng.shuffle(shuffled)
-        for axis in ("xy", "xz", "yz"):
-            assert lp.surface_area_axis(blob, RES, axis) == lp.surface_area_axis(
-                shuffled, RES, axis
-            )
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            lp.surface_area_axis(np.array([[0, 0, 0]]), RES, "zz")
+        assert blob_metrics(blob, RES) == blob_metrics(shuffled, RES)
+        # Component ids are arbitrary labels too: relabelling the components
+        # permutes the metric rows and changes no value.
+        grid = blob_grid(blob, RES)
+        comp = rng.integers(0, 3, grid.num_active)
+        comp[:3] = [0, 1, 2]
+        relabel = np.array([2, 0, 1])
+        direct = lp.component_metrics(comp, 3, grid)
+        relabelled = lp.component_metrics(relabel[comp], 3, grid)
+        for old, new in zip(direct, relabelled):
+            assert np.array_equal(new[relabel], old)
 
 
 class TestVsr:
     def test_single_voxel(self):
-        assert lp.vsr(np.array([[0, 0, 0]]), RES) == pytest.approx(0.0625, rel=1e-12)
+        assert blob_metrics([[0, 0, 0]], RES)[2] == pytest.approx(0.0625, rel=1e-12)
 
     def test_full_block_and_inscribed_radius(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[60, 20, 4], resolution=RES))
-        metrics = lp.subspace_metrics(grid.active_indices, RES)
-        assert metrics.vsr == pytest.approx(4800.0 / 3040.0, rel=1e-12)
-        assert metrics.inscribed_radius_estimate == pytest.approx(3 * 4800.0 / 3040.0, rel=1e-12)
-        assert metrics.vsr > 0
+        model = lp.LidarModel(beam_pitches=[math.radians(5), math.radians(15)])
+        pose = lp.PoseConfig(position=[30.0, 10.0, 4.5])  # every cone clears the ROI
+        (rec,) = lp.evaluate_placement([pose], [model], grid).subspaces
+        assert rec.vsr == pytest.approx(4800.0 / 3040.0, rel=1e-12)
+        assert rec.inscribed_radius_estimate == pytest.approx(3 * 4800.0 / 3040.0, rel=1e-12)
+        assert rec.vsr > 0
 
     def test_metrics_fields_consistent(self):
         rng = np.random.default_rng(33)
         blob = random_blob(rng)
-        m = lp.subspace_metrics(blob, RES)
-        assert m.vsr == m.volume / m.surface_area
-        assert m.inscribed_radius_estimate == 3.0 * m.vsr
+        vol, sa, ratio = blob_metrics(blob, RES)
+        assert ratio == vol / sa
 
 
 class TestMaxVsr:
@@ -126,7 +138,9 @@ class TestMaxVsr:
         pose = lp.PoseConfig(position=[4.0, 4.0, 4.5])  # mounted above the ROI ceiling
         report = lp.evaluate_placement([pose], [model], grid)
         assert len(report.subspaces) == 1
-        assert report.objective == lp.vsr(grid.active_indices, grid.resolution)
+        assert report.objective == component_vsr(
+            list(map(tuple, grid.active_indices.tolist())), grid.resolution
+        )
 
     def test_duplicate_lidar_changes_nothing(self):
         roi = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])

@@ -1,0 +1,26 @@
+"""The narrative demos run end to end against the current API.
+
+Demo 04 runs a full colony search (~45 s) and is left out.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "01_beam_cones_and_voxels",
+        "02_subspace_segmentation",
+        "03_subspace_metrics",
+        "05_vsr_vs_detection_rate",
+    ],
+)
+def test_demo_runs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demos write their figures and tables to the cwd
+    runpy.run_path(str(DEMO_DIR / f"{name}.py"), run_name="__main__")
+    assert capsys.readouterr().out

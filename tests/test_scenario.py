@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lidarplace as lp
 from lidarplace.scenario import parse_angle, parse_scenario
@@ -42,7 +45,8 @@ class TestAngles:
         assert parse_angle("0.2rad") == pytest.approx(0.2, rel=1e-12)
 
     def test_bad_angles(self):
-        for bad in ("15", {"deg": 1, "rad": 2}, {"grad": 3}, True, [1]):
+        for bad in ("15", {"deg": 1, "rad": 2}, {"grad": 3}, True, [1], {"deg": "15"},
+                    {"rad": True}, {"deg": [1]}, 10**400):
             with pytest.raises(lp.ScenarioError) as err:
                 parse_angle(bad)
             assert err.value.code == "ANGLE_INVALID"
@@ -139,6 +143,120 @@ class TestNamedErrors:
     def test_invalid_beam_order(self):
         data = minimal_scenario(models={"b2": {"beam_pitches": [0.3, -0.3]}})
         self.expect(data, "SCHEMA_INVALID")
+
+
+    def test_odr_not_an_object(self):
+        self.expect(minimal_scenario(odr=[1]), "SCHEMA_FIELD")
+
+    def test_excluded_boxes_not_a_list(self):
+        data = minimal_scenario()
+        data["roi"]["excluded_boxes"] = 5
+        self.expect(data, "SCHEMA_FIELD")
+
+    def test_beam_pitches_not_a_list(self):
+        self.expect(minimal_scenario(models={"b2": {"beam_pitches": 3}}), "SCHEMA_FIELD")
+
+    def test_inverted_placement_region(self):
+        odr = {"placement_region": {"min": [2.0, 2.0, 1.0], "max": [1.0, 1.0, 0.0]}}
+        self.expect(minimal_scenario(odr=odr), "SCHEMA_INVALID")
+
+    def test_mutate_all_dims_must_be_a_bool(self):
+        data = minimal_scenario()
+        data["abc"]["mutate_all_dims"] = "false"
+        self.expect(data, "SCHEMA_FIELD")
+
+    def test_non_integral_counts_rejected(self):
+        self.expect(minimal_scenario(lidars=[{"model": "b2", "count": 2.7}]), "SCHEMA_FIELD")
+        data = minimal_scenario()
+        data["abc"]["num_bees"] = 50.5
+        self.expect(data, "SCHEMA_FIELD")
+        spaced = {"b2": {"evenly_spaced": {"count": 2.5, "start": -0.2, "stop": 0.2}}}
+        self.expect(minimal_scenario(models=spaced), "SCHEMA_FIELD")
+        # an integral float is still a count
+        scenario = parse_scenario(minimal_scenario(lidars=[{"model": "b2", "count": 2.0}]))
+        assert scenario.lidars == (("b2", 2),)
+
+    def test_negative_seed(self):
+        data = minimal_scenario()
+        data["abc"]["rng_seed"] = -1
+        self.expect(data, "SCHEMA_INVALID")
+
+    def test_out_of_range_number(self):
+        data = minimal_scenario()
+        data["roi"]["extent"] = [10**400, 8.0, 4.0]
+        self.expect(data, "SCHEMA_FIELD")
+
+
+SHIPPED = [
+    json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+    for name in ("av_rooftop.json", "av_rooftop_small.json")
+]
+SCHEMA_KEYS = [
+    "deg", "rad", "min", "max", "count", "start", "stop", "model", "position", "beam_pitches",
+    "evenly_spaced", "extent", "resolution", "excluded_boxes", "placement_region", "object_dims",
+]
+# Integers and floats stay small enough that a mutated beam count cannot ask
+# for a huge allocation; the specials cover overflow and non-finite values.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-10**4, 10**4)
+    | st.floats(-1e4, 1e4)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, "15deg", "beam16"])
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=4), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one to three nodes replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+class TestMutatedScenarios:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(mutated_scenarios())
+    def test_parse_returns_scenario_or_raises_scenario_error(self, data):
+        try:
+            scenario = parse_scenario(data)
+        except lp.ScenarioError:
+            return
+        assert isinstance(scenario, lp.Scenario)
 
 
 class TestDigest:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lidarplace as lp
-from oracles import beam_digit_ref, flood_fill_components
+from oracles import assert_valid_partition, beam_digit_ref, flood_fill_components
 
 TWO_BEAM = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
 
@@ -15,21 +15,25 @@ def grid_of(extent, resolution, boxes=()):
     )
 
 
+def digit(model, point):
+    return int(lp.beam_digits(model, np.asarray([point], dtype=float))[0])
+
+
 class TestBeamDigit:
     def test_between_the_beams(self):
-        assert lp.beam_digit(TWO_BEAM, [1.0, 0.0, 0.0]) == 1
+        assert digit(TWO_BEAM, [1.0, 0.0, 0.0]) == 1
 
     def test_above_the_top_beam(self):
-        assert lp.beam_digit(TWO_BEAM, [1.0, 0.0, 1.0]) == 2
+        assert digit(TWO_BEAM, [1.0, 0.0, 1.0]) == 2
 
     def test_below_the_bottom_beam(self):
-        assert lp.beam_digit(TWO_BEAM, [1.0, 0.0, -1.0]) == 0
+        assert digit(TWO_BEAM, [1.0, 0.0, -1.0]) == 0
 
     def test_on_the_vertical_axis(self):
         # Every cone height is zero at r = 0; the sign of z decides alone.
-        assert lp.beam_digit(TWO_BEAM, [0.0, 0.0, -0.1]) == 0
-        assert lp.beam_digit(TWO_BEAM, [0.0, 0.0, 0.0]) == TWO_BEAM.num_beams
-        assert lp.beam_digit(TWO_BEAM, [0.0, 0.0, 0.1]) == TWO_BEAM.num_beams
+        assert digit(TWO_BEAM, [0.0, 0.0, -0.1]) == 0
+        assert digit(TWO_BEAM, [0.0, 0.0, 0.0]) == TWO_BEAM.num_beams
+        assert digit(TWO_BEAM, [0.0, 0.0, 0.1]) == TWO_BEAM.num_beams
 
     def test_matches_interval_rule_oracle(self):
         rng = np.random.default_rng(21)
@@ -41,21 +45,23 @@ class TestBeamDigit:
             model = lp.LidarModel(beam_pitches=pitches)
             point = rng.uniform(-10, 10, 3)
             expected = beam_digit_ref(model.beam_tangents.tolist(), *point)
-            assert lp.beam_digit(model, point) == expected
+            assert digit(model, point) == expected
 
     def test_monotone_in_z(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             x, y = rng.uniform(-5, 5, 2)
             zs = np.sort(rng.uniform(-5, 5, 20))
-            digits = [lp.beam_digit(TWO_BEAM, [x, y, z]) for z in zs]
+            digits = lp.beam_digits(TWO_BEAM, [[x, y, z] for z in zs]).tolist()
             assert all(a <= b for a, b in zip(digits, digits[1:]))
 
     def test_vectorized_agrees_with_scalar(self):
+        # the whole batch at once agrees with the scalar interval-rule reference
         rng = np.random.default_rng(23)
         pts = rng.uniform(-5, 5, (200, 3))
         vec = lp.beam_digits(TWO_BEAM, pts)
-        assert vec.tolist() == [lp.beam_digit(TWO_BEAM, p) for p in pts]
+        tangents = TWO_BEAM.beam_tangents.tolist()
+        assert vec.tolist() == [beam_digit_ref(tangents, *p) for p in pts]
 
 
 class TestFirstLevelLabels:
@@ -90,28 +96,39 @@ class TestFirstLevelLabels:
             lp.first_level_labels([lp.PoseConfig(position=[1, 1, 1])], [], grid)
 
 
+def component_sets(comp, count, grid):
+    """Each component as the frozenset of its voxel index triples, by id."""
+    cells = [set() for _ in range(count)]
+    for row, c in enumerate(comp.tolist()):
+        cells[c].add(tuple(grid.active_indices[row].tolist()))
+    return [frozenset(c) for c in cells]
+
+
 class TestConnectedComponents:
     def test_edge_contact_is_not_adjacency(self):
-        # Diagonal neighbors in the x-y plane share only an edge: 2 components.
+        # Diagonal neighbors in the x-y plane share only an edge: 4 components.
         grid = grid_of([2, 2, 1], [1, 1, 1])
         labels = np.array([[0], [1], [1], [0]])  # rows: (0,0,0),(0,1,0),(1,0,0),(1,1,0)
-        sets = lp.connected_components(labels, grid)
-        assert len(sets) == 4
-        same_code = [s for s in sets if s.code == (0,)]
-        assert len(same_code) == 2 and all(len(s) == 1 for s in same_code)
+        comp, count = lp.component_ids(labels, grid)
+        assert count == 4
+        same_code = comp[labels[:, 0] == 0]
+        assert same_code[0] != same_code[1]
+        assert np.bincount(comp, minlength=count)[same_code].tolist() == [1, 1]
 
     def test_uniform_block_is_one_component(self):
         grid = grid_of([3, 3, 3], [1, 1, 1])
         labels = np.zeros((27, 1), dtype=np.int64)
-        sets = lp.connected_components(labels, grid)
-        assert len(sets) == 1 and len(sets[0]) == 27
+        comp, count = lp.component_ids(labels, grid)
+        assert count == 1 and comp.tolist() == [0] * 27
 
     def test_band_splits_same_code_region(self):
         # A different-code slab across the middle severs the outer code.
         grid = grid_of([5, 1, 1], [1, 1, 1])
         labels = np.array([[7], [7], [3], [7], [7]])
-        sets = lp.connected_components(labels, grid)
-        assert sorted((s.code, len(s)) for s in sets) == [((3,), 1), ((7,), 2), ((7,), 2)]
+        comp, count = lp.component_ids(labels, grid)
+        sizes = np.bincount(comp, minlength=count)
+        codes = [int(labels[np.flatnonzero(comp == c)[0], 0]) for c in range(count)]
+        assert sorted(zip(codes, sizes.tolist())) == [(3, 1), (7, 2), (7, 2)]
 
     def test_matches_flood_fill_on_random_grids(self):
         rng = np.random.default_rng(24)
@@ -119,7 +136,7 @@ class TestConnectedComponents:
             dims = rng.integers(2, 6, 3)
             grid = grid_of(dims.astype(float).tolist(), [1, 1, 1])
             labels = rng.integers(0, 3, (grid.num_active, 2))
-            sets = lp.connected_components(labels, grid)
+            comp, count = lp.component_ids(labels, grid)
             cells = {
                 tuple(grid.active_indices[row]): tuple(labels[row])
                 for row in range(grid.num_active)
@@ -127,7 +144,7 @@ class TestConnectedComponents:
             shuffled = list(cells)
             rng.shuffle(shuffled)
             expected = flood_fill_components(cells, order=shuffled)
-            produced = [frozenset(map(tuple, s.voxel_indices.tolist())) for s in sets]
+            produced = component_sets(comp, count, grid)
             assert set(produced) == set(expected)
             assert len(produced) == len(expected)
 
@@ -136,8 +153,8 @@ class TestConnectedComponents:
         grid = grid_of([3, 1, 1], [1, 1, 1], boxes=(box,))
         assert grid.num_active == 2  # middle voxel excluded
         labels = np.zeros((2, 1), dtype=np.int64)
-        sets = lp.connected_components(labels, grid)
-        assert len(sets) == 2
+        _, count = lp.component_ids(labels, grid)
+        assert count == 2
 
     def test_component_ids_deterministic_and_lexicographic(self):
         grid = grid_of([4, 4, 2], [1, 1, 1])
@@ -158,13 +175,14 @@ class TestConnectedComponents:
         )
         rng = np.random.default_rng(26)
         labels = rng.integers(0, 4, (grid.num_active, 1))
-        sets = lp.connected_components(labels, grid)
+        comp, count = lp.component_ids(labels, grid)
         seen = {}
-        for s in sets:
-            for trip in map(tuple, s.voxel_indices.tolist()):
+        for cid, cells in enumerate(component_sets(comp, count, grid)):
+            for trip in cells:
                 assert trip not in seen
-                seen[trip] = s.component_id
+                seen[trip] = cid
         assert len(seen) == grid.num_active
+        assert_valid_partition(grid, labels, comp, count)
 
     def test_huge_digit_values_still_partition_correctly(self):
         # digit columns too wide for mixed-radix packing take the row-identity
@@ -174,12 +192,3 @@ class TestConnectedComponents:
         comp, count = lp.component_ids(labels, grid)
         assert count == 3
         assert comp.tolist() == [0, 0, 1, 2]
-
-    def test_subspace_sets_are_sorted_and_frozen(self):
-        grid = grid_of([3, 2, 2], [1, 1, 1])
-        labels = np.zeros((grid.num_active, 1), dtype=np.int64)
-        (s,) = lp.connected_components(labels, grid)
-        rows = s.voxel_indices.tolist()
-        assert rows == sorted(rows)
-        with pytest.raises(ValueError):
-            s.voxel_indices[0, 0] = 9
