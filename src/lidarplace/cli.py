@@ -162,11 +162,19 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_json(path: Path, code: str):
+    """Parsed JSON content of ``path``; unreadable text or JSON raises ``code``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(code, f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_poses_file(path_str: str) -> tuple[PoseConfig, ...]:
     path = Path(path_str)
     if not path.exists():
         raise CliError("POSES_MISSING", f"poses file not found: {path}", EXIT_MISSING)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_json(path, "POSES_INVALID")
     if not isinstance(data, list) or not data:
         raise CliError("POSES_INVALID", "poses file must hold a non-empty JSON list of poses")
     return tuple(parse_pose(entry, f"poses[{i}]") for i, entry in enumerate(data))
@@ -319,8 +327,12 @@ def _poses_from_record(path_str: str) -> tuple[tuple[PoseConfig, ...], dict]:
     path = Path(path_str)
     if not path.exists():
         raise CliError("RECORD_MISSING", f"run record not found: {path}", EXIT_MISSING)
-    record = json.loads(path.read_text(encoding="utf-8"))
-    if "best_poses" not in record or "scenario" not in record:
+    record = _read_json(path, "RECORD_INVALID")
+    if (
+        not isinstance(record, dict)
+        or not isinstance(record.get("best_poses"), list)
+        or "scenario" not in record
+    ):
         raise CliError("RECORD_INVALID", f"{path} is not an optimize result record")
     poses = tuple(
         parse_pose(entry, f"record.best_poses[{i}]")

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import LidarModel, PoseBounds, PoseConfig, RoiSpec, VoxelGrid, build_voxel_grid
-from .segmentation import _axis_pair_slices, component_ids, first_level_labels
+from .segmentation import _face_pairs, _padded, component_ids, first_level_labels
 
 __all__ = [
     "SubspaceRecord",
@@ -86,16 +86,11 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
         raise ValueError("component ids must align with the grid's active voxels")
     sizes = np.bincount(comp, minlength=count)
 
-    comp_grid = np.full(grid.dims, -1, dtype=np.int64)
-    comp_grid[grid.active] = comp
-    pair_counts = []
-    for axis in (2, 1, 0):
-        lo, hi = _axis_pair_slices(axis)
-        a = comp_grid[lo]
-        b = comp_grid[hi]
-        mask = (a >= 0) & (a == b)
-        pair_counts.append(np.bincount(a[mask], minlength=count))
-    pairs_z, pairs_y, pairs_x = pair_counts
+    flat, strides = _padded(comp, grid)
+    pairs_x, pairs_y, pairs_z = (
+        np.bincount(flat[:-stride][_face_pairs(flat, stride)], minlength=count)
+        for stride in strides
+    )
 
     ex, ey, ez = (float(c) for c in grid.resolution)
     sa = (

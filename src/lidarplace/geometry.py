@@ -38,6 +38,10 @@ Vec3 = np.ndarray
 
 _HALF_PI = math.pi / 2.0
 
+# Most beams a LiDAR model may have; a band digit (0..num_beams) then fits in
+# one byte.
+MAX_BEAMS = 255
+
 
 def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -129,7 +133,8 @@ class LidarModel:
     """A LiDAR type, described by the sorted pitch angles of its beams.
 
     Pitches are radians, strictly increasing, and must lie in the open
-    interval (-pi/2, +pi/2) so every beam cone has a finite slope.
+    interval (-pi/2, +pi/2) so every beam cone has a finite slope.  A model
+    has at most ``MAX_BEAMS`` beams.
     """
 
     beam_pitches: np.ndarray
@@ -138,6 +143,8 @@ class LidarModel:
         arr = np.array(self.beam_pitches, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("beam_pitches must be a non-empty 1-D sequence")
+        if arr.size > MAX_BEAMS:
+            raise ValueError(f"a model has at most {MAX_BEAMS} beams, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("beam pitches must be finite")
         if np.any(np.abs(arr) >= _HALF_PI):
@@ -160,8 +167,8 @@ class LidarModel:
     @classmethod
     def evenly_spaced(cls, num_beams: int, lowest: float, highest: float) -> "LidarModel":
         """Model with ``num_beams`` pitches evenly spaced from lowest to highest."""
-        if num_beams < 1:
-            raise ValueError("num_beams must be >= 1")
+        if not 1 <= num_beams <= MAX_BEAMS:
+            raise ValueError(f"num_beams must lie in [1, {MAX_BEAMS}], got {num_beams}")
         if num_beams == 1:
             pitches = [0.5 * (lowest + highest)]
         else:

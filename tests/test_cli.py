@@ -230,6 +230,24 @@ class TestOdr:
         assert code == 2
         assert "error[POSES_MISSING]" in capsys.readouterr().err
 
+    def test_malformed_record_is_named_error(self, tiny_scenario, tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text("5", encoding="utf-8")
+        code = main([
+            "odr", "--scenario", str(tiny_scenario), "--record", str(path), "--out", str(tmp_path)
+        ])
+        assert code == 3
+        assert "error[RECORD_INVALID]" in capsys.readouterr().err
+
+    def test_non_json_poses_file_is_named_error(self, tiny_scenario, tmp_path, capsys):
+        poses = tmp_path / "poses.json"
+        poses.write_text("[{", encoding="utf-8")
+        code = main([
+            "odr", "--scenario", str(tiny_scenario), "--poses", str(poses), "--out", str(tmp_path)
+        ])
+        assert code == 3
+        assert "error[POSES_INVALID]" in capsys.readouterr().err
+
     def test_deterministic(self, tiny_scenario, tmp_path):
         poses = tmp_path / "poses.json"
         poses.write_text(json.dumps([{"position": [4.0, 4.0, 3.0]}]), encoding="utf-8")
@@ -277,6 +295,22 @@ class TestExportVoxels:
         code = main(["export-voxels", "--record", str(tmp_path / "no.json"), "--out", str(tmp_path)])
         assert code == 4
         assert "error[RECORD_MISSING]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        ["5", json.dumps({"best_poses": 5, "scenario": {}}), "{not json", b"\xff\xfe"],
+        ids=["number", "best-poses-not-a-list", "not-json", "not-utf8"],
+    )
+    def test_malformed_record_is_named_error(self, tmp_path, capsys, content):
+        path = tmp_path / "record.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        code = main(["export-voxels", "--record", str(path), "--out", str(tmp_path / "exp")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error[RECORD_INVALID]" in err and "Traceback" not in err
 
     def test_full_scale_export_row_count(self, tmp_path):
         # a record is just poses + scenario, so exporting the full-scale grid

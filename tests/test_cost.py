@@ -81,6 +81,20 @@ class TestSurfaceArea:
                 map(tuple, blob.tolist()), res
             )
 
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (3, 1, 4), (4, 3, 1), (1, 1, 5), (3, 3, 3)])
+    def test_every_id_matches_the_oracle_on_thin_grids(self, dims):
+        # Ids spread over the grid, so same-id voxels that are neighbours only
+        # in flat order ((i, j, nz-1) then (i, j+1, 0)) must count as exposed.
+        rng = np.random.default_rng(sum(dims))
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=np.array(dims) * RES, resolution=RES))
+        for _ in range(5):
+            _, comp = np.unique(rng.integers(0, 3, grid.num_active), return_inverse=True)
+            count = int(comp.max()) + 1
+            _, _, sa, _ = lp.component_metrics(comp, count, grid)
+            for c in range(count):
+                cells = map(tuple, grid.active_indices[comp == c].tolist())
+                assert sa[c] == exposed_face_area(cells, RES)
+
     def test_voxel_order_is_irrelevant(self):
         rng = np.random.default_rng(32)
         blob = random_blob(rng)

@@ -176,6 +176,15 @@ class TestNamedErrors:
         scenario = parse_scenario(minimal_scenario(lidars=[{"model": "b2", "count": 2.0}]))
         assert scenario.lidars == (("b2", 2),)
 
+    def test_beam_count_above_limit_rejected_before_allocation(self):
+        for count in (256, 10**9, 2**63):
+            spaced = {"b2": {"evenly_spaced": {"count": count, "start": -0.2, "stop": 0.2}}}
+            self.expect(minimal_scenario(models=spaced), "SCHEMA_INVALID")
+        pitches = np.linspace(-0.2, 0.2, 256).tolist()
+        self.expect(minimal_scenario(models={"b2": {"beam_pitches": pitches}}), "SCHEMA_INVALID")
+        limit = {"b2": {"evenly_spaced": {"count": 255, "start": -0.2, "stop": 0.2}}}
+        assert parse_scenario(minimal_scenario(models=limit)).models["b2"].num_beams == 255
+
     def test_negative_seed(self):
         data = minimal_scenario()
         data["abc"]["rng_seed"] = -1
@@ -195,14 +204,17 @@ SCHEMA_KEYS = [
     "deg", "rad", "min", "max", "count", "start", "stop", "model", "position", "beam_pitches",
     "evenly_spaced", "extent", "resolution", "excluded_boxes", "placement_region", "object_dims",
 ]
-# Integers and floats stay small enough that a mutated beam count cannot ask
-# for a huge allocation; the specials cover overflow and non-finite values.
+# The specials cover overflow, non-finite values and beam counts far above the
+# model limit (2**63 overflows numpy's int64; 10**9 beams would take
+# gigabytes), which must fail before anything is allocated.
 JSON_LEAVES = (
     st.none()
     | st.booleans()
     | st.integers(-10**4, 10**4)
     | st.floats(-1e4, 1e4)
-    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, "15deg", "beam16"])
+    | st.sampled_from(
+        [float("inf"), float("-inf"), float("nan"), 10**400, 2**63, 10**9, "15deg", "beam16"]
+    )
     | st.text(max_size=6)
 )
 JSON_VALUES = st.recursive(

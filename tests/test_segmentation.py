@@ -1,9 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lidarplace as lp
+from lidarplace import segmentation
 from oracles import assert_valid_partition, beam_digit_ref, flood_fill_components
 
 TWO_BEAM = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
@@ -62,6 +67,154 @@ class TestBeamDigit:
         vec = lp.beam_digits(TWO_BEAM, pts)
         tangents = TWO_BEAM.beam_tangents.tolist()
         assert vec.tolist() == [beam_digit_ref(tangents, *p) for p in pts]
+
+
+# Strictly increasing pitches: sorted distinct floats inside (-pi/2, +pi/2).
+PITCHES = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8, unique=True).map(sorted)
+# Planar coordinates: ordinary, zero of either sign, subnormal, tiny and huge
+# (x * x stays finite, so r does too).
+PLANAR = st.floats(-10.0, 10.0) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-150, 1e150, -1e150]
+)
+AXIS_Z = (-0.0, 0.0, 5e-324, -5e-324)
+
+
+class TestBeamDigitEdges:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pitches=PITCHES, x=PLANAR, y=PLANAR, z=st.floats(-1e6, 1e6))
+    def test_matches_oracle_on_and_beside_every_cone(self, pitches, x, y, z):
+        model = lp.LidarModel(beam_pitches=pitches)
+        tangents = model.beam_tangents.tolist()
+        r = math.sqrt(x * x + y * y)
+        heights = [z, *AXIS_Z]
+        for t in tangents:
+            on_cone = t * r
+            heights += [on_cone, np.nextafter(on_cone, math.inf), np.nextafter(on_cone, -math.inf)]
+        points = [[x, y, h] for h in heights] + [[0.0, 0.0, h] for h in AXIS_Z]
+        expected = [beam_digit_ref(tangents, *p) for p in points]
+        assert lp.beam_digits(model, np.array(points)).tolist() == expected
+
+    def test_axis_sign_of_zero(self):
+        model = lp.LidarModel(beam_pitches=[-0.3, 0.0, 0.3])
+        points = [[0.0, 0.0, z] for z in AXIS_Z] + [[-0.0, -0.0, z] for z in AXIS_Z]
+        assert lp.beam_digits(model, points).tolist() == [3, 3, 3, 0] * 2
+
+
+def _pose_grid():
+    grid = grid_of([8, 8, 4], [1, 1, 1])
+    poses = [
+        lp.PoseConfig(position=[2.5, 2.5, 3.0], pitch=0.2),
+        lp.PoseConfig(position=[5.5, 5.5, 3.0], roll=0.1),
+    ]
+    return grid, poses
+
+
+def _uncached_labels(poses, models, grid):
+    return np.stack(
+        [
+            lp.beam_digits(m, lp.world_to_lidar(p, grid.active_centers))
+            for p, m in zip(poses, models)
+        ],
+        axis=1,
+    )
+
+
+class TestColumnCache:
+    def test_cold_and_warm_cache_agree(self, monkeypatch):
+        monkeypatch.setattr(
+            segmentation, "_columns", segmentation._ColumnCache(segmentation.COLUMN_CACHE_BYTES)
+        )
+        grid, poses = _pose_grid()
+        models = [TWO_BEAM, TWO_BEAM]
+        cold = lp.first_level_labels(poses, models, grid)
+        warm = lp.first_level_labels(poses, models, grid)
+        assert cold.dtype == warm.dtype == np.int64
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, _uncached_labels(poses, models, grid))
+        # equal pose values hit the cache even through a new PoseConfig
+        again = [lp.PoseConfig(position=p.position, pitch=p.pitch, roll=p.roll) for p in poses]
+        assert np.array_equal(lp.first_level_labels(again, models, grid), cold)
+
+    def test_cached_columns_are_read_only_bytes(self):
+        grid, poses = _pose_grid()
+        column = segmentation._digit_column(poses[0], TWO_BEAM, grid)
+        assert column.dtype == np.uint8 and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1
+        assert segmentation._digit_column(poses[0], TWO_BEAM, grid) is column
+
+    def test_model_and_grid_are_part_of_the_key(self):
+        grid, poses = _pose_grid()
+        other_grid = grid_of([8, 8, 4], [1, 1, 1])
+        other_model = lp.LidarModel(beam_pitches=[-0.1, 0.05, 0.2])
+        base = segmentation._digit_column(poses[0], TWO_BEAM, grid)
+        assert segmentation._digit_column(poses[0], TWO_BEAM, other_grid) is not base
+        labels = lp.first_level_labels(poses[:1], [other_model], grid)
+        assert np.array_equal(labels, _uncached_labels(poses[:1], [other_model], grid))
+
+    def test_never_exceeds_its_byte_budget(self, monkeypatch):
+        budget = 20_000
+        cache = segmentation._ColumnCache(budget)
+        monkeypatch.setattr(segmentation, "_columns", cache)
+        grid, _ = _pose_grid()
+        per_column = grid.num_active + segmentation._ENTRY_OVERHEAD_BYTES
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            pose = lp.PoseConfig(position=rng.uniform(0, 8, 3), pitch=rng.uniform(-1, 1))
+            labels = lp.first_level_labels([pose], [TWO_BEAM], grid)
+            assert np.array_equal(labels, _uncached_labels([pose], [TWO_BEAM], grid))
+            assert cache.size <= budget
+        assert cache.size == (budget // per_column) * per_column
+        # a column larger than the whole budget is computed but never kept
+        tiny = segmentation._ColumnCache(100)
+        monkeypatch.setattr(segmentation, "_columns", tiny)
+        lp.first_level_labels([pose], [TWO_BEAM], grid)
+        assert tiny.size == 0
+
+    def test_concurrent_labelling_keeps_results_and_accounting(self, monkeypatch):
+        budget = 8 * (128 + segmentation._ENTRY_OVERHEAD_BYTES)
+        cache = segmentation._ColumnCache(budget)
+        monkeypatch.setattr(segmentation, "_columns", cache)
+        grid = grid_of([8, 4, 4], [1, 1, 1])
+        rng = np.random.default_rng(33)
+        poses = [
+            lp.PoseConfig(position=rng.uniform(0, 4, 3), roll=rng.uniform(-1, 1))
+            for _ in range(12)
+        ]
+        expected = [_uncached_labels([p], [TWO_BEAM], grid) for p in poses]
+        mismatches = []
+
+        def work(offset):
+            for i in range(200):
+                k = (offset + 7 * i) % len(poses)
+                labels = lp.first_level_labels([poses[k]], [TWO_BEAM], grid)
+                if not np.array_equal(labels, expected[k]):
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert mismatches == []
+        held = sum(cache._cost(c) for c in cache._columns.values())
+        assert cache.size == held <= budget
+
+    def test_least_recently_used_column_goes_first(self):
+        cache = segmentation._ColumnCache(3 * (10 + segmentation._ENTRY_OVERHEAD_BYTES))
+        columns = {key: np.full(10, key, dtype=np.uint8) for key in range(4)}
+        for key in range(3):
+            cache.put(key, columns[key])
+        assert cache.get(0) is columns[0]  # 0 is now the most recent
+        cache.put(3, columns[3])
+        assert cache.get(1) is None
+        assert all(cache.get(key) is columns[key] for key in (0, 2, 3))
 
 
 class TestFirstLevelLabels:
@@ -183,6 +336,32 @@ class TestConnectedComponents:
                 seen[trip] = cid
         assert len(seen) == grid.num_active
         assert_valid_partition(grid, labels, comp, count)
+
+    def test_flat_neighbours_that_share_no_face_stay_apart(self):
+        # In C order (0, 0, nz-1) is followed by (0, 1, 0) and (0, ny-1, k) by
+        # (1, 0, k); equal codes there must not join.
+        grid = grid_of([1, 2, 3], [1, 1, 1])
+        labels = np.array([[2], [3], [1], [1], [3], [2]])
+        comp, count = lp.component_ids(labels, grid)
+        assert count == 5
+        assert comp.tolist() == [0, 1, 2, 3, 1, 4]
+        grid = grid_of([2, 2, 1], [1, 1, 1])
+        labels = np.array([[0], [1], [1], [0]])  # (0,1,0) then (1,0,0) in flat order
+        assert lp.component_ids(labels, grid)[1] == 4
+
+    @pytest.mark.parametrize("dims", [(1, 4, 5), (4, 1, 5), (4, 5, 1), (1, 1, 6), (1, 1, 1)])
+    def test_matches_flood_fill_with_a_unit_axis(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        grid = grid_of([float(d) for d in dims], [1, 1, 1])
+        for _ in range(5):
+            labels = rng.integers(0, 2, (grid.num_active, 2))
+            comp, count = lp.component_ids(labels, grid)
+            cells = {
+                tuple(grid.active_indices[row]): tuple(labels[row])
+                for row in range(grid.num_active)
+            }
+            assert set(component_sets(comp, count, grid)) == set(flood_fill_components(cells))
+            assert_valid_partition(grid, labels, comp, count)
 
     def test_huge_digit_values_still_partition_correctly(self):
         # digit columns too wide for mixed-radix packing take the row-identity
