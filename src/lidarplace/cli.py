@@ -48,6 +48,9 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_MISSING = 4
 
+# Voxel rows formatted per write, which bounds the exporter's memory.
+_WRITE_BLOCK = 4096
+
 
 class CliError(Exception):
     def __init__(self, code: str, message: str, exit_code: int = EXIT_INVALID):
@@ -110,18 +113,23 @@ def _component_color(component: int) -> tuple[int, int, int]:
 def _write_voxel_export(out_dir: Path, grid, labels: np.ndarray, comp: np.ndarray) -> tuple[Path, Path]:
     csv_path = out_dir / "voxels.csv"
     ply_path = out_dir / "voxels.ply"
-    centers = grid.active_centers
     n = grid.num_active
 
-    lines = ["x,y,z,code,component"]
-    for i in range(n):
-        code = "-".join(str(int(d)) for d in labels[i])
-        lines.append(
-            f"{_fmt(centers[i, 0])},{_fmt(centers[i, 1])},{_fmt(centers[i, 2])},{code},{int(comp[i])}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Each string is formatted once: a voxel's center coordinate on an axis
+    # is that axis's coordinate at its index, and every voxel of a component
+    # carries the component's code and color.
+    axes = []
+    for a in range(3):
+        coords = np.zeros(grid.dims[a])
+        coords[grid.active_indices[:, a]] = grid.active_centers[:, a]
+        axes.append([_fmt(c) for c in coords])
+    xs, ys, zs = axes
+    member = np.zeros(int(comp.max(initial=-1)) + 1, dtype=np.int64)
+    member[comp] = np.arange(n)
+    codes = ["-".join(map(str, row)) for row in labels[member].tolist()]
+    colors = [" ".join(map(str, _component_color(c))) for c in range(member.size)]
 
-    ply = [
+    header = [
         "ply",
         "format ascii 1.0",
         f"element vertex {n}",
@@ -133,10 +141,19 @@ def _write_voxel_export(out_dir: Path, grid, labels: np.ndarray, comp: np.ndarra
         "property uchar blue",
         "end_header",
     ]
-    for i in range(n):
-        r, g, b = _component_color(int(comp[i]))
-        ply.append(f"{_fmt(centers[i, 0])} {_fmt(centers[i, 1])} {_fmt(centers[i, 2])} {r} {g} {b}")
-    ply_path.write_text("\n".join(ply) + "\n", encoding="utf-8")
+    with open(csv_path, "w", encoding="utf-8") as csv_file, open(
+        ply_path, "w", encoding="utf-8"
+    ) as ply_file:
+        csv_file.write("x,y,z,code,component\n")
+        ply_file.write("\n".join(header) + "\n")
+        for start in range(0, n, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            rows = [
+                (xs[i], ys[j], zs[k], c)
+                for (i, j, k), c in zip(grid.active_indices[block].tolist(), comp[block].tolist())
+            ]
+            csv_file.write("".join(f"{x},{y},{z},{codes[c]},{c}\n" for x, y, z, c in rows))
+            ply_file.write("".join(f"{x} {y} {z} {colors[c]}\n" for x, y, z, c in rows))
     return csv_path, ply_path
 
 
@@ -237,7 +254,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scenario = _load_effective_scenario(args)
-    out = _out_dir(args)
     poses = _load_poses_file(args.poses)
     models = scenario.model_sequence()
     if len(poses) != len(models):
@@ -245,6 +261,7 @@ def cmd_evaluate(args) -> int:
             "POSES_INVALID",
             f"scenario places {len(models)} sensors but poses file holds {len(poses)}",
         )
+    out = _out_dir(args)
     _warn_out_of_bounds(poses, scenario.bounds)
 
     grid = build_voxel_grid(scenario.roi)
@@ -271,7 +288,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load_effective_scenario(args)
-    out = _out_dir(args)
     counts = [part for part in (args.counts or "").split(",") if part != ""]
     if not counts:
         raise CliError("SWEEP_EMPTY", "--counts must list at least one sensor count", EXIT_USAGE)
@@ -288,6 +304,7 @@ def cmd_sweep(args) -> int:
     for name in model_names:
         if name not in scenario.models:
             raise CliError("MODEL_UNKNOWN", f"--models references unknown model {name!r}")
+    out = _out_dir(args)
 
     rows = ["model,count,best_max_vsr"]
     for name in model_names:
@@ -343,9 +360,7 @@ def _poses_from_record(path_str: str) -> tuple[tuple[PoseConfig, ...], dict]:
 
 def cmd_odr(args) -> int:
     scenario = _load_effective_scenario(args)
-    out = _out_dir(args)
     models = scenario.model_sequence()
-    grid = build_voxel_grid(scenario.roi)
     settings = scenario.odr
     seed = scenario.abc.rng_seed
 
@@ -360,6 +375,8 @@ def cmd_odr(args) -> int:
             "POSES_INVALID",
             f"scenario places {len(models)} sensors but got {len(poses)} poses",
         )
+    out = _out_dir(args)
+    grid = build_voxel_grid(scenario.roi)
 
     report = estimate_odr(
         poses,
@@ -487,10 +504,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Reject thread and scatter counts out of range before any command runs."""
+    if args.threads < 1:
+        raise CliError("ARG_RANGE", f"--threads must be >= 1, got {args.threads}", EXIT_USAGE)
+    if getattr(args, "scatter", 0) < 0:
+        raise CliError("ARG_RANGE", f"--scatter must be >= 0, got {args.scatter}", EXIT_USAGE)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except CliError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -10,6 +10,13 @@ with smaller worst-case subspaces detect random objects more often.
 Occupancy is tested with voxel centers inside the object box, the same
 membership rule used everywhere else in the package; objects smaller than the
 voxel spacing can therefore fall between centers and go undetected.
+
+All trials are counted in one batched pass.  The grid is regular, so the
+centers inside a box ``[lo, hi]`` form an index block: per axis, from the
+first center ``>= lo`` to the last center ``<= hi``, found by binary search
+in the same center coordinates the grid was built from.  Each box's block is
+gathered from the component ids laid on the grid (``-1`` where no active
+voxel is) and its distinct ids are counted after a row-wise sort.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Box, LidarModel, PoseConfig, VoxelGrid, build_voxel_grid
-from .segmentation import component_ids, first_level_labels
+from .segmentation import _padded, component_ids, first_level_labels
 
 __all__ = [
     "ObjectSpec",
@@ -75,10 +82,50 @@ class OdrReport:
     threshold: int
 
 
-def _occupied(centers: np.ndarray, comp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
-    """Number of distinct component ids among the centers inside ``[lo, hi]``."""
-    inside = np.all((centers >= lo) & (centers <= hi), axis=1)
-    return int(np.unique(comp[inside]).size) if inside.any() else 0
+# Grid cells gathered at once when counting many boxes, which bounds the
+# batch's flat indices and gathered ids to 8 MiB each.
+_GATHER_CELLS = 2**20
+
+
+def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Distinct component ids among the active centers inside each box ``[lo[k], hi[k]]``.
+
+    ``lo`` and ``hi`` are ``(K, 3)``; returns ``K`` counts.  A center ``c``
+    is inside when ``lo <= c <= hi`` on every axis.
+    """
+    ids, strides = _padded(comp, grid)
+    first = np.empty(lo.shape, dtype=np.int64)
+    size = np.empty(lo.shape, dtype=np.int64)
+    for a, n in enumerate(grid.dims):
+        # The grid's own center coordinates, so searchsorted compares the same floats.
+        axis = (np.arange(n) + 0.5) * grid.resolution[a]
+        first[:, a] = np.searchsorted(axis, lo[:, a], side="left")
+        size[:, a] = np.searchsorted(axis, hi[:, a], side="right") - first[:, a]
+    np.maximum(size, 0, out=size)
+    # A box smaller than the widest one repeats its last index, which leaves
+    # its distinct ids unchanged; an empty axis reads the -1 padding layer.
+    widths = size.max(axis=0)
+    counts = np.zeros(lo.shape[0], dtype=np.int64)
+    if not widths.all():
+        return counts
+    batch = max(1, _GATHER_CELLS // int(widths.prod()))
+    for start in range(0, lo.shape[0], batch):
+        rows = slice(start, start + batch)
+        # Flat index of each cell of each box's (padded-out) block, built
+        # axis by axis by broadcasting: (boxes, wx, wy, wz).
+        flat = np.zeros((1, 1, 1, 1), dtype=np.int64)
+        for a, width in enumerate(widths):
+            n_a = size[rows, a, None]
+            offsets = np.minimum(np.arange(width), n_a - 1)
+            index = np.where(n_a > 0, first[rows, a, None] + offsets, grid.dims[a])
+            shape = [-1, 1, 1, 1]
+            shape[a + 1] = width
+            flat = flat + (index * strides[a]).reshape(shape)
+        cells = ids[flat.reshape(flat.shape[0], -1)]
+        cells.sort(axis=1)
+        # -1 sorts first, so every change along a sorted row steps onto an id >= 0.
+        counts[rows] = (cells[:, 0] >= 0) + np.count_nonzero(cells[:, 1:] != cells[:, :-1], axis=1)
+    return counts
 
 
 def count_occupied_subspaces(box: Box, component_ids_per_voxel, grid: VoxelGrid) -> int:
@@ -90,7 +137,7 @@ def count_occupied_subspaces(box: Box, component_ids_per_voxel, grid: VoxelGrid)
     comp = np.asarray(component_ids_per_voxel)
     if comp.shape != (grid.num_active,):
         raise ValueError("component ids must align with the grid's active voxels")
-    return _occupied(grid.active_centers, comp, box.minimum, box.maximum)
+    return int(_occupied_counts(comp, grid, box.minimum[None], box.maximum[None])[0])
 
 
 def estimate_odr(
@@ -121,8 +168,8 @@ def estimate_odr(
     comp, _ = component_ids(labels, grid)
 
     corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
-    centers = grid.active_centers
-    detections = sum(_occupied(centers, comp, lo, lo + obj.dims) > threshold for lo in corners)
+    counts = _occupied_counts(comp, grid, corners, corners + obj.dims)
+    detections = int(np.count_nonzero(counts > threshold))
     return OdrReport(
         trials=trials,
         detections=detections,

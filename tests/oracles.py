@@ -163,3 +163,48 @@ def assert_valid_partition(grid, labels, comp, count):
     vol_sum = sum(float(v) for v in vol)
     expected = grid.num_active * grid.voxel_volume
     assert abs(vol_sum - expected) <= 1e-9 * expected, "subspace volumes must sum to the ROI volume"
+
+
+def occupied_subspaces_ref(centers, comp, lo, hi):
+    """Distinct ids among the centers inside the closed box ``[lo, hi]``, by scanning every center."""
+    found = set()
+    for center, ident in zip(centers.tolist(), comp.tolist()):
+        if all(lo[a] <= center[a] <= hi[a] for a in range(3)):
+            found.add(ident)
+    return len(found)
+
+
+def component_color_ref(component):
+    """Golden-angle hue for a component id, as an RGB byte triple."""
+    h = (component * 0.6180339887498949) % 1.0
+    s, v = 0.65, 0.95
+    i = int(h * 6.0) % 6
+    f = h * 6.0 - int(h * 6.0)
+    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
+    rgb = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
+    return tuple(int(round(255 * c)) for c in rgb)
+
+
+def voxel_export_ref(centers, labels, comp):
+    """``(voxels.csv, voxels.ply)`` text, formatting every voxel's line on its own."""
+    fmt = lambda value: repr(float(value))  # noqa: E731
+    csv = ["x,y,z,code,component"]
+    ply = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(centers)}",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property uchar red",
+        "property uchar green",
+        "property uchar blue",
+        "end_header",
+    ]
+    for center, code, ident in zip(centers, labels, comp):
+        x, y, z = (fmt(c) for c in center)
+        digits = "-".join(str(int(d)) for d in code)
+        csv.append(f"{x},{y},{z},{digits},{int(ident)}")
+        r, g, b = component_color_ref(int(ident))
+        ply.append(f"{x} {y} {z} {r} {g} {b}")
+    return "\n".join(csv) + "\n", "\n".join(ply) + "\n"

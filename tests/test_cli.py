@@ -1,12 +1,15 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import lidarplace as lp
+from lidarplace import cli
 from lidarplace.cli import main
-from oracles import brute_force_max_vsr
+from oracles import brute_force_max_vsr, voxel_export_ref
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -333,6 +336,133 @@ class TestExportVoxels:
         csv_rows = len((out / "voxels.csv").read_text().strip().splitlines()) - 1
         assert csv_rows == grid.num_active
         assert grid.num_voxels == 48000 and csv_rows < 48000
+
+
+class TestInputsCheckedBeforeOut:
+    @pytest.fixture
+    def inputs(self, tiny_scenario, tmp_path):
+        paths = {"scenario": str(tiny_scenario), "missing": str(tmp_path / "nope.json")}
+        for name, content in {
+            "poses": [{"position": [4.0, 4.0, 3.0]}],
+            "not_a_list": {"position": [4.0, 4.0, 3.0]},
+            "two_poses": [{"position": [3, 3, 3]}, {"position": [4, 4, 3]}],
+            "bad_record": 5,
+        }.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(content), encoding="utf-8")
+            paths[name] = str(path)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, code, exit_code",
+        [
+            (["evaluate", "--poses", "{missing}"], "POSES_MISSING", 4),
+            (["evaluate", "--poses", "{not_a_list}"], "POSES_INVALID", 3),
+            (["evaluate", "--poses", "{two_poses}"], "POSES_INVALID", 3),
+            (["odr", "--poses", "{missing}"], "POSES_MISSING", 4),
+            (["odr"], "POSES_MISSING", 2),
+            (["odr", "--poses", "{not_a_list}"], "POSES_INVALID", 3),
+            (["odr", "--poses", "{two_poses}"], "POSES_INVALID", 3),
+            (["odr", "--record", "{bad_record}"], "RECORD_INVALID", 3),
+            (["odr", "--record", "{missing}"], "RECORD_MISSING", 4),
+            (["sweep", "--counts", ""], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", "1", "--models", "ghost"], "MODEL_UNKNOWN", 3),
+        ],
+        ids=[
+            "evaluate-poses-missing", "evaluate-poses-not-a-list", "evaluate-pose-count",
+            "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
+            "odr-record-invalid", "odr-record-missing", "sweep-empty", "sweep-unknown-model",
+        ],
+    )
+    def test_bad_input_leaves_no_out_dir(self, inputs, tmp_path, capsys, argv, code, exit_code):
+        out = tmp_path / "o"
+        argv = [arg.format(**inputs) for arg in argv]
+        assert main([*argv, "--scenario", inputs["scenario"], "--out", str(out)]) == exit_code
+        err = capsys.readouterr().err
+        assert f"error[{code}]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["odr", "--poses", "{poses}", "--scatter", "-1"],
+            ["odr", "--poses", "{poses}", "--threads", "0"],
+            ["evaluate", "--poses", "{poses}", "--threads", "-2"],
+            ["optimize", "--threads", "0"],
+            ["sweep", "--counts", "1", "--threads", "-1"],
+        ],
+        ids=["odr-scatter", "odr-threads", "evaluate-threads", "optimize-threads", "sweep-threads"],
+    )
+    def test_count_out_of_range_is_usage_error(self, inputs, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        argv = [arg.format(**inputs) for arg in argv]
+        assert main([*argv, "--scenario", inputs["scenario"], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error[ARG_RANGE]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_export_voxels_thread_count_checked(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["export-voxels", "--record", str(tmp_path / "no.json"), "--threads", "0"]
+        code = main([*argv, "--out", str(out)])
+        assert code == 2
+        assert "error[ARG_RANGE]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_scatter_writes_no_scatter_file(self, inputs, tmp_path):
+        out = tmp_path / "o"
+        argv = ["odr", "--scenario", inputs["scenario"], "--poses", inputs["poses"], "--scatter", "0"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["odr.json"]
+
+
+def _labelled(roi, poses, models):
+    grid = lp.build_voxel_grid(roi)
+    labels = lp.first_level_labels(poses, models, grid)
+    comp, count = lp.component_ids(labels, grid)
+    return grid, labels, comp, count
+
+
+WIDE = lp.LidarModel(beam_pitches=np.radians(np.linspace(-20.0, 20.0, 9)))
+
+
+class TestVoxelWriters:
+    @pytest.mark.parametrize(
+        "extent, resolution",
+        [([3.0, 2.0, 1.2], [0.3, 0.1, 0.4]), ([6.0, 2.1, 1.5], [0.3, 0.3, 0.1])],
+    )
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_matches_per_voxel_formatter(self, tmp_path, extent, resolution, block):
+        roi = lp.RoiSpec(
+            extent=extent,
+            resolution=resolution,
+            excluded_boxes=[lp.Box(minimum=[1.0, 0.5, 0.0], maximum=[1.9, 1.2, 0.9])],
+        )
+        poses = [
+            lp.PoseConfig(position=[0.9, 0.7, 1.1], pitch=0.3),
+            lp.PoseConfig(position=[2.1, 1.4, 0.8], roll=-0.4),
+            lp.PoseConfig(position=[1.5, 0.2, 1.0], pitch=-0.2, roll=0.5),
+        ]
+        grid, labels, comp, count = _labelled(roi, poses, [WIDE, WIDE, WIDE])
+        assert count > 50 and grid.num_active < grid.num_voxels
+        with mock.patch.object(cli, "_WRITE_BLOCK", block):
+            cli._write_voxel_export(tmp_path, grid, labels, comp)
+        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, comp)
+        assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
+        assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
+
+    def test_full_scale_matches_per_voxel_formatter(self, tmp_path):
+        scenario = lp.load_scenario(SCENARIO_DIR / "av_rooftop.json")
+        models = scenario.model_sequence()
+        lower, upper = lp.decision_bounds(scenario.bounds, len(models))
+        vector = np.random.default_rng(8).uniform(lower, upper)
+        poses = lp.poses_from_vector(vector, len(models))
+        grid, labels, comp, count = _labelled(scenario.roi, poses, models)
+        assert count > 1000
+        cli._write_voxel_export(tmp_path, grid, labels, comp)
+        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, comp)
+        assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
+        assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
 
 
 class TestBundledScenarios:

@@ -1,9 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lidarplace as lp
+from grids import blob_grid
+from lidarplace import odr
+from oracles import occupied_subspaces_ref
 
 ROI = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])
 MODEL = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
@@ -63,15 +69,133 @@ class TestCountOccupiedSubspaces:
             lo = rng.uniform(0, [6, 6, 2])
             hi = lo + rng.uniform(0.5, 2.0, 3)
             box = lp.Box(minimum=lo, maximum=hi)
-            expected = set()
-            for row in range(grid.num_active):
-                c = grid.active_centers[row]
-                if np.all(c >= lo) and np.all(c <= hi):
-                    expected.add(int(comp[row]))
-            assert lp.count_occupied_subspaces(box, comp, grid) == len(expected)
+            expected = occupied_subspaces_ref(grid.active_centers, comp, lo, hi)
+            assert lp.count_occupied_subspaces(box, comp, grid) == expected
+
+
+RESOLUTIONS = st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 1.7])
+
+
+@st.composite
+def id_grids(draw):
+    """A small grid (plain, with an excluded box, or a blob) and arbitrary ids on its active voxels."""
+    dims = [draw(st.integers(1, 6)) for _ in range(3)]
+    res = [draw(RESOLUTIONS) for _ in range(3)]
+    kind = draw(st.sampled_from(["plain", "excluded", "blob"]))
+    if kind == "blob":
+        cells = draw(
+            st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), min_size=1, max_size=40)
+        )
+        grid = blob_grid(cells, res)
+    else:
+        excluded = ()
+        if kind == "excluded":
+            a = [draw(st.integers(0, d - 1)) for d in dims]
+            b = [draw(st.integers(0, d - 1)) for d in dims]
+            lo = [(min(i, j) + 0.5) * r for i, j, r in zip(a, b, res)]
+            hi = [(max(i, j) + 0.5) * r for i, j, r in zip(a, b, res)]
+            excluded = (lp.Box(minimum=lo, maximum=hi),)
+        extent = [d * r for d, r in zip(dims, res)]
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=extent, resolution=res, excluded_boxes=excluded))
+    num_ids = draw(st.integers(1, 6))
+    comp = np.array(
+        draw(st.lists(st.integers(0, num_ids - 1), min_size=grid.num_active, max_size=grid.num_active)),
+        dtype=np.int64,
+    )
+    return grid, comp
+
+
+def box_faces(draw, grid):
+    """One box ``(lo, hi)`` whose faces sit on centers, between centers, on the ROI or beyond it."""
+    lo, hi = [], []
+    for n, r in zip(grid.dims, grid.resolution):
+        faces = []
+        for _ in range(2):
+            kind = draw(st.sampled_from(["center", "center", "between", "roi", "outside"]))
+            if kind == "center":
+                faces.append((draw(st.integers(0, n - 1)) + 0.5) * r)
+            elif kind == "between":
+                faces.append(draw(st.floats(0.0, n * r)))
+            elif kind == "roi":
+                faces.append(draw(st.sampled_from([0.0, n * r])))
+            else:
+                faces.append(draw(st.sampled_from([-r, (n + 1) * r])))
+        lo.append(min(faces))
+        hi.append(max(faces))
+    return lo, hi
+
+
+class TestBatchedOccupancy:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batched_counts_match_containment_scan(self, data):
+        grid, comp = data.draw(id_grids())
+        boxes = [box_faces(data.draw, grid) for _ in range(data.draw(st.integers(1, 12)))]
+        extent = grid.extent.tolist()
+        boxes += [([0.0, 0.0, 0.0], extent), ([-1.0, -1.0, -1.0], [e + 1.0 for e in extent])]
+        lo = np.array([b[0] for b in boxes])
+        hi = np.array([b[1] for b in boxes])
+        expected = [occupied_subspaces_ref(grid.active_centers, comp, a, b) for a, b in boxes]
+        assert odr._occupied_counts(comp, grid, lo, hi).tolist() == expected
+        # one box per gathered batch, and a few per batch
+        for cells in (1, 7):
+            with mock.patch.object(odr, "_GATHER_CELLS", cells):
+                assert odr._occupied_counts(comp, grid, lo, hi).tolist() == expected
+        for (a, b), count in zip(boxes, expected):
+            assert lp.count_occupied_subspaces(lp.Box(minimum=a, maximum=b), comp, grid) == count
+
+
+def estimate_odr_ref(configs, models, roi, obj, trials, threshold, rng):
+    """Detections of the same trials as :func:`lp.estimate_odr`, scanning every center per trial."""
+    grid = lp.build_voxel_grid(roi)
+    comp, _ = lp.component_ids(lp.first_level_labels(configs, models, grid), grid)
+    region = obj.corner_region(grid.extent)
+    corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
+    return sum(
+        occupied_subspaces_ref(grid.active_centers, comp, lo, lo + obj.dims) > threshold
+        for lo in corners
+    )
 
 
 class TestEstimateOdr:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_trial_reference(self, seed):
+        roi = lp.RoiSpec(
+            extent=[8.0, 6.0, 3.0],
+            resolution=[1.0, 0.5, 0.3],
+            excluded_boxes=[lp.Box(minimum=[3.0, 2.0, 0.0], maximum=[5.0, 4.0, 3.0])],
+        )
+        models = [MODEL, lp.LidarModel(beam_pitches=np.radians([-12.0, -4.0, 4.0, 12.0]))]
+        poses = [
+            lp.PoseConfig(position=[3.5, 2.5, 2.6], pitch=0.1 * seed),
+            lp.PoseConfig(position=[4.5, 3.5, 2.4], roll=0.2),
+        ]
+        # min corners drawn anywhere, or pinned to center coordinates on
+        # some axes, so that box faces land exactly on centers
+        center = lambda index: (np.asarray(index) + 0.5) * roi.resolution  # noqa: E731
+        objects = [
+            lp.ObjectSpec(dims=[0.5, 0.5, 1.7]),
+            lp.ObjectSpec(dims=[2.0, 1.0, 0.9]),
+            lp.ObjectSpec(
+                dims=[2.0, 1.5, 0.6],
+                placement_region=lp.Box(minimum=center([0, 0, 0]), maximum=center([5, 0, 0])),
+            ),
+            lp.ObjectSpec(
+                dims=[1.0, 1.0, 1.2],
+                placement_region=lp.Box(minimum=center([1, 0, 1]), maximum=center([1, 8, 1])),
+            ),
+        ]
+        for obj in objects:
+            for threshold in (0, 1, 2, 4):
+                report = lp.estimate_odr(
+                    poses, models, roi, obj, 100, threshold, np.random.default_rng(seed)
+                )
+                expected = estimate_odr_ref(
+                    poses, models, roi, obj, 100, threshold, np.random.default_rng(seed)
+                )
+                assert report.detections == expected
+                assert report.odr == expected / 100
+
     def test_threshold_zero_with_full_coverage(self):
         obj = lp.ObjectSpec(dims=[2, 2, 2])
         report = lp.estimate_odr(
