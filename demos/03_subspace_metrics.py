@@ -33,7 +33,8 @@ poses = [
     lp.PoseConfig(position=[30.8, 10.7, 2.9], pitch=math.radians(155)),
 ]
 
-report = lp.evaluate_placement(poses, [vlp16, vlp16], roi)
+grid = lp.build_voxel_grid(roi)
+report = lp.evaluate_placement(poses, [vlp16, vlp16], grid)
 print(f"\n{len(report.subspaces)} subspaces; objective (max VSR) = {report.objective:.4f} m")
 print("worst blind spot radius estimate:",
       round(report.worst.inscribed_radius_estimate, 3), "m")
@@ -45,6 +46,5 @@ for rec in sorted(report.subspaces, key=lambda r: -r.vsr)[:10]:
           f"{rec.surface_area:>9.2f} {rec.vsr:>8.4f}")
 
 # Volumes always add back up to the active ROI volume.
-grid = lp.build_voxel_grid(roi)
 total = sum(rec.volume for rec in report.subspaces)
 print(f"\nvolume conservation: {total:.6f} == {grid.num_active * grid.voxel_volume:.6f}")

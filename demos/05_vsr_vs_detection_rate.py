@@ -22,6 +22,7 @@ bounds = lp.PoseBounds(
     upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
 )
 test_object = lp.ObjectSpec(dims=[2.0, 2.0, 2.0])
+trial_settings = lp.OdrSettings(obj=test_object, trials=500, threshold=1)
 
 seeds = np.random.SeedSequence(7).spawn(21)
 config_rng = np.random.default_rng(seeds[0])
@@ -32,9 +33,8 @@ vsrs, odrs = [], []
 for i in range(20):
     poses = lp.poses_from_vector(config_rng.uniform(lower, upper), len(models))
     objective = lp.max_vsr(poses, models, grid)
-    report = lp.estimate_odr(
-        poses, models, grid, test_object, 500, 1, np.random.default_rng(seeds[i + 1])
-    )
+    rng = np.random.default_rng(seeds[i + 1])
+    report = lp.estimate_odr(poses, models, grid, trial_settings, rng)
     vsrs.append(objective)
     odrs.append(report.odr)
     print(f"{i:>6} {objective:>9.4f} {report.odr:>7.3f}")

@@ -32,9 +32,8 @@ from .geometry import (
     rotation_matrix,
     world_to_lidar,
 )
-from .odr import ObjectSpec, OdrReport, count_occupied_subspaces, estimate_odr
+from .odr import ObjectSpec, OdrReport, OdrSettings, count_occupied_subspaces, estimate_odr
 from .scenario import (
-    OdrSettings,
     Scenario,
     ScenarioError,
     canonical_dict,
@@ -44,7 +43,7 @@ from .scenario import (
     serialize_scenario,
     with_seed,
 )
-from .segmentation import SubspaceCode, beam_digits, component_ids, first_level_labels
+from .segmentation import beam_digits, component_ids, first_level_labels, segment
 
 __version__ = "0.1.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SolveResult",
-    "SubspaceCode",
     "SubspaceRecord",
     "Vec3",
     "VoxelGrid",
@@ -91,6 +89,7 @@ __all__ = [
     "rotation_matrix",
     "roulette_many",
     "scenario_digest",
+    "segment",
     "serialize_scenario",
     "with_seed",
     "world_to_lidar",

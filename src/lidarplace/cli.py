@@ -36,10 +36,11 @@ from .scenario import (
     canonical_dict,
     load_scenario,
     parse_pose,
+    parse_scenario,
     scenario_digest,
     with_seed,
 )
-from .segmentation import component_ids, first_level_labels
+from .segmentation import segment
 
 __all__ = ["main"]
 
@@ -378,15 +379,7 @@ def cmd_odr(args) -> int:
     out = _out_dir(args)
     grid = build_voxel_grid(scenario.roi)
 
-    report = estimate_odr(
-        poses,
-        models,
-        grid,
-        settings.obj,
-        settings.trials,
-        settings.threshold,
-        np.random.default_rng(seed),
-    )
+    report = estimate_odr(poses, models, grid, settings, np.random.default_rng(seed))
     payload = {
         "command": "odr",
         "scenario_digest": scenario_digest(scenario),
@@ -408,13 +401,7 @@ def cmd_odr(args) -> int:
             sample_poses = cost.poses_from_vector(vec, len(models))
             sample_vsr = cost.max_vsr(sample_poses, models, grid)
             sample = estimate_odr(
-                sample_poses,
-                models,
-                grid,
-                settings.obj,
-                settings.trials,
-                settings.threshold,
-                np.random.default_rng(seeds[s + 1]),
+                sample_poses, models, grid, settings, np.random.default_rng(seeds[s + 1])
             )
             rows.append(f"{_fmt(sample_vsr)},{_fmt(sample.odr)}")
         (out / "vsr_odr.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -432,13 +419,12 @@ def cmd_odr(args) -> int:
 def cmd_export_voxels(args) -> int:
     poses, scenario_data = _poses_from_record(args.record)
     scenario = with_seed(_parse_record_scenario(scenario_data), args.seed)
-    out = _out_dir(args)
-    grid = build_voxel_grid(scenario.roi)
     models = scenario.model_sequence()
     if len(poses) != len(models):
         raise CliError("RECORD_INVALID", "record poses do not match its scenario")
-    labels = first_level_labels(poses, models, grid)
-    comp, count = component_ids(labels, grid)
+    out = _out_dir(args)
+    grid = build_voxel_grid(scenario.roi)
+    labels, comp, count = segment(poses, models, grid)
     csv_path, ply_path = _write_voxel_export(out, grid, labels, comp)
     print(f"exported {grid.num_active} voxels over {count} subspaces")
     print(f"wrote {csv_path} and {ply_path}")
@@ -446,8 +432,6 @@ def cmd_export_voxels(args) -> int:
 
 
 def _parse_record_scenario(data) -> Scenario:
-    from .scenario import parse_scenario
-
     try:
         return parse_scenario(data)
     except ScenarioError as exc:

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import LidarModel, PoseBounds, PoseConfig, RoiSpec, VoxelGrid, build_voxel_grid
-from .segmentation import _face_pairs, _padded, component_ids, first_level_labels
+from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
+from .segmentation import _face_pairs, _padded, segment
 
 __all__ = [
     "SubspaceRecord",
@@ -65,14 +65,6 @@ class PlacementReport:
         return max(self.subspaces, key=lambda rec: rec.vsr)
 
 
-def _as_grid(roi) -> VoxelGrid:
-    if isinstance(roi, VoxelGrid):
-        return roi
-    if isinstance(roi, RoiSpec):
-        return build_voxel_grid(roi)
-    raise TypeError("roi must be a RoiSpec or a prebuilt VoxelGrid")
-
-
 def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
     """Per-component ``(sizes, volume, surface_area, vsr)`` arrays.
 
@@ -81,12 +73,8 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
     describes component ``c``: its voxel count, volume in m^3, surface area in
     m^2, and volume-to-surface-area ratio in meters.
     """
-    comp = np.asarray(comp)
-    if comp.shape != (grid.num_active,):
-        raise ValueError("component ids must align with the grid's active voxels")
-    sizes = np.bincount(comp, minlength=count)
-
     flat, strides = _padded(comp, grid)
+    sizes = np.bincount(comp, minlength=count)
     pairs_x, pairs_y, pairs_z = (
         np.bincount(flat[:-stride][_face_pairs(flat, stride)], minlength=count)
         for stride in strides
@@ -102,36 +90,26 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
     return sizes, vol, sa, vol / sa
 
 
-def _segment(configs, models, grid):
-    """Per-voxel codes, component ids, and the component count."""
-    if grid.num_active == 0:
-        raise ValueError("ROI has no active voxels; nothing to evaluate")
-    labels = first_level_labels(configs, models, grid)
-    comp, count = component_ids(labels, grid)
-    return labels, comp, count
-
-
-def max_vsr(configs: Sequence[PoseConfig], models: Sequence[LidarModel], roi) -> float:
+def max_vsr(
+    configs: Sequence[PoseConfig], models: Sequence[LidarModel], grid: VoxelGrid
+) -> float:
     """Objective value of a configuration set: the largest subspace VSR.
 
-    Runs the full pipeline (voxel grid, per-voxel codes, face-connected
-    components, per-component VSR).  ``roi`` may be a ``RoiSpec`` or a
-    prebuilt ``VoxelGrid``; pass the grid when evaluating many candidates.
-    A labeling that leaves everything in one subspace is valid and returns
-    that block's VSR.  Deterministic: identical inputs give bit-identical
-    values.  See :func:`evaluate_placement` for the per-subspace table.
+    Runs the pipeline on the prebuilt ``grid`` (per-voxel codes,
+    face-connected components, per-component VSR).  A labeling that leaves
+    everything in one subspace is valid and returns that block's VSR.
+    Deterministic: identical inputs give bit-identical values.  See
+    :func:`evaluate_placement` for the per-subspace table.
     """
-    grid = _as_grid(roi)
-    _, comp, count = _segment(configs, models, grid)
+    _, comp, count = segment(configs, models, grid)
     return float(component_metrics(comp, count, grid)[3].max())
 
 
 def evaluate_placement(
-    configs: Sequence[PoseConfig], models: Sequence[LidarModel], roi
+    configs: Sequence[PoseConfig], models: Sequence[LidarModel], grid: VoxelGrid
 ) -> PlacementReport:
     """Per-subspace metrics table plus the max-VSR objective."""
-    grid = _as_grid(roi)
-    labels, comp, count = _segment(configs, models, grid)
+    labels, comp, count = segment(configs, models, grid)
     sizes, vol, sa, ratios = component_metrics(comp, count, grid)
     _, first_rows = np.unique(comp, return_index=True)
     records = tuple(

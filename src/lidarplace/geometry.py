@@ -25,6 +25,7 @@ __all__ = [
     "PoseBounds",
     "LidarModel",
     "RoiSpec",
+    "GridNotDivisibleError",
     "VoxelGrid",
     "rotation_matrix",
     "world_to_lidar",
@@ -41,6 +42,11 @@ _HALF_PI = math.pi / 2.0
 # Most beams a LiDAR model may have; a band digit (0..num_beams) then fits in
 # one byte.
 MAX_BEAMS = 255
+
+# Relative slack allowed when a length must match the grid: an extent that is
+# a multiple of the resolution, or an object placement that ends at the ROI
+# face.  ``dims * resolution`` may round a little off the written extent.
+EXTENT_TOLERANCE = 1e-9
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -76,10 +82,6 @@ class Box:
         object.__setattr__(self, "maximum", as_vec3(self.maximum))
         if np.any(self.minimum > self.maximum):
             raise ValueError("box minimum must not exceed maximum componentwise")
-
-    @property
-    def size(self) -> np.ndarray:
-        return self.maximum - self.minimum
 
     def contains(self, points) -> np.ndarray:
         """Boolean containment test for one point ``(3,)`` or many ``(n, 3)``."""
@@ -176,12 +178,17 @@ class LidarModel:
         return cls(beam_pitches=np.asarray(pitches, dtype=float))
 
 
+class GridNotDivisibleError(ValueError):
+    """An ROI extent that is not a whole, nonzero number of voxels on some axis."""
+
+
 @dataclass(frozen=True, eq=False)
 class RoiSpec:
     """Region of interest: extent, voxel resolution, and excluded boxes.
 
-    The ROI corner sits at the world origin.  Each extent component must be an
-    integer multiple of the matching resolution component (1e-9 relative).
+    The ROI corner sits at the world origin.  Each extent component must be a
+    positive integer multiple of the matching resolution component, within
+    ``EXTENT_TOLERANCE`` relative (else :class:`GridNotDivisibleError`).
     Excluded boxes (e.g. the vehicle body) must lie within the extent.
     """
 
@@ -199,9 +206,9 @@ class RoiSpec:
             raise ValueError("resolution components must be positive")
         dims = np.rint(self.extent / self.resolution)
         if np.any(dims < 1) or np.any(
-            np.abs(dims * self.resolution - self.extent) > 1e-9 * self.extent
+            np.abs(dims * self.resolution - self.extent) > EXTENT_TOLERANCE * self.extent
         ):
-            raise ValueError(
+            raise GridNotDivisibleError(
                 "extent must be an integer multiple of resolution on every axis "
                 f"(extent={self.extent.tolist()}, resolution={self.resolution.tolist()})"
             )
@@ -251,12 +258,6 @@ class VoxelGrid:
     def extent(self) -> np.ndarray:
         return np.asarray(self.dims) * self.resolution
 
-    @property
-    def strides(self) -> np.ndarray:
-        """Multipliers turning an index triple into a flat C-order index."""
-        nx, ny, nz = self.dims
-        return np.array([ny * nz, nz, 1], dtype=np.int64)
-
     def voxel_index_of(self, points) -> np.ndarray:
         """Index triple of the voxel containing each point.
 
@@ -266,10 +267,6 @@ class VoxelGrid:
         p = np.asarray(points, dtype=float)
         idx = np.floor(p / self.resolution).astype(np.int64)
         return np.clip(idx, 0, np.asarray(self.dims) - 1)
-
-    def center_of(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=float)
-        return (idx + 0.5) * self.resolution
 
 
 def rotation_matrix(pose: PoseConfig) -> np.ndarray:
@@ -342,8 +339,8 @@ def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
 
     The center of voxel ``(i, j, k)`` is ``((i+0.5)ex, (j+0.5)ey, (k+0.5)ez)``.
     A voxel is inactive iff its center lies inside any excluded box (boundary
-    counts as inside).  Raises ``ValueError`` for a non-divisible
-    extent/resolution pair (checked by :class:`RoiSpec`).
+    counts as inside).  The extent/resolution pair was checked by
+    :class:`RoiSpec`; a grid may have no active voxel at all.
     """
     nx, ny, nz = roi.grid_dims
     res = roi.resolution

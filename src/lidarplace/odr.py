@@ -26,11 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, LidarModel, PoseConfig, VoxelGrid, build_voxel_grid
-from .segmentation import _padded, component_ids, first_level_labels
+from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseConfig, VoxelGrid, as_vec3
+from .segmentation import _padded, segment
 
 __all__ = [
     "ObjectSpec",
+    "OdrSettings",
     "OdrReport",
     "count_occupied_subspaces",
     "estimate_odr",
@@ -50,26 +51,46 @@ class ObjectSpec:
     placement_region: Box | None = None
 
     def __post_init__(self):
-        from .geometry import as_vec3
-
         object.__setattr__(self, "dims", as_vec3(self.dims))
         if np.any(self.dims <= 0.0):
             raise ValueError("object dimensions must be positive")
 
     def corner_region(self, roi_extent) -> Box:
-        """Resolved min-corner placement box, validated against the ROI."""
+        """Resolved min-corner placement box, validated against the ROI.
+
+        The object may overshoot the ROI by ``EXTENT_TOLERANCE`` of its
+        extent, the slack an extent written in a scenario may have against
+        the grid's ``dims * resolution``; both therefore accept the same
+        placements.  The default region is ``[0, extent - dims]``.
+        """
         extent = np.asarray(roi_extent, dtype=float)
-        if np.any(self.dims > extent):
-            raise ValueError("object does not fit inside the ROI")
         limit = extent - self.dims
+        slack = EXTENT_TOLERANCE * extent
+        if np.any(limit < -slack):
+            raise ValueError("object does not fit inside the ROI")
         if self.placement_region is None:
-            return Box(minimum=np.zeros(3), maximum=limit)
+            return Box(minimum=np.zeros(3), maximum=np.maximum(limit, 0.0))
         region = self.placement_region
-        if np.any(region.minimum < 0.0) or np.any(region.maximum > limit):
+        if np.any(region.minimum < 0.0) or np.any(region.maximum > limit + slack):
             raise ValueError(
                 "placement region must keep the object fully inside the ROI"
             )
         return region
+
+
+@dataclass(frozen=True, eq=False)
+class OdrSettings:
+    """Detection-trial settings: the test object, trial count, and threshold."""
+
+    obj: ObjectSpec
+    trials: int = 1000
+    threshold: int = 1
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("odr trials must be >= 1")
+        if self.threshold < 0:
+            raise ValueError("odr threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -134,45 +155,34 @@ def count_occupied_subspaces(box: Box, component_ids_per_voxel, grid: VoxelGrid)
     ``component_ids_per_voxel`` is the second-level component id of each
     active voxel, aligned with ``grid.active_centers``.
     """
-    comp = np.asarray(component_ids_per_voxel)
-    if comp.shape != (grid.num_active,):
-        raise ValueError("component ids must align with the grid's active voxels")
-    return int(_occupied_counts(comp, grid, box.minimum[None], box.maximum[None])[0])
+    counts = _occupied_counts(component_ids_per_voxel, grid, box.minimum[None], box.maximum[None])
+    return int(counts[0])
 
 
 def estimate_odr(
     configs: Sequence[PoseConfig],
     models: Sequence[LidarModel],
-    roi,
-    obj: ObjectSpec,
-    trials: int,
-    threshold: int,
+    grid: VoxelGrid,
+    settings: OdrSettings,
     rng: np.random.Generator,
 ) -> OdrReport:
     """Estimate the detection rate of ``configs`` by random object placement.
 
-    Each of ``trials`` placements draws the object's min corner uniformly
-    from its placement region; the trial detects when the object occupies
-    more than ``threshold`` subspaces.  Deterministic for a fixed ``rng``
-    state, and always returns a rate in [0, 1].
+    Each of ``settings.trials`` placements draws the object's min corner
+    uniformly from its placement region; the trial detects when the object
+    occupies more than ``settings.threshold`` subspaces.  Deterministic for
+    a fixed ``rng`` state, and always returns a rate in [0, 1].
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    grid = roi if isinstance(roi, VoxelGrid) else build_voxel_grid(roi)
-    extent = grid.extent if isinstance(roi, VoxelGrid) else np.asarray(roi.extent, float)
-    region = obj.corner_region(extent)
+    obj = settings.obj
+    region = obj.corner_region(grid.extent)
+    _, comp, _ = segment(configs, models, grid)
 
-    labels = first_level_labels(configs, models, grid)
-    comp, _ = component_ids(labels, grid)
-
-    corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
+    corners = rng.uniform(region.minimum, region.maximum, (settings.trials, 3))
     counts = _occupied_counts(comp, grid, corners, corners + obj.dims)
-    detections = int(np.count_nonzero(counts > threshold))
+    detections = int(np.count_nonzero(counts > settings.threshold))
     return OdrReport(
-        trials=trials,
+        trials=settings.trials,
         detections=detections,
-        odr=detections / trials,
-        threshold=threshold,
+        odr=detections / settings.trials,
+        threshold=settings.threshold,
     )

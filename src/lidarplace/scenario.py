@@ -21,12 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from .bees import AbcParams
-from .geometry import Box, LidarModel, PoseBounds, PoseConfig, RoiSpec
-from .odr import ObjectSpec
+from .geometry import (
+    Box,
+    GridNotDivisibleError,
+    LidarModel,
+    PoseBounds,
+    PoseConfig,
+    RoiSpec,
+    build_voxel_grid,
+)
+from .odr import ObjectSpec, OdrSettings
 
 __all__ = [
     "ScenarioError",
-    "OdrSettings",
     "Scenario",
     "parse_angle",
     "parse_pose",
@@ -47,21 +54,6 @@ class ScenarioError(ValueError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(message)
-
-
-@dataclass(frozen=True, eq=False)
-class OdrSettings:
-    """Detection-trial settings: the test object, trial count, and threshold."""
-
-    obj: ObjectSpec
-    trials: int = 1000
-    threshold: int = 1
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("odr trials must be >= 1")
-        if self.threshold < 0:
-            raise ValueError("odr threshold must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +106,17 @@ def _list(value, context: str) -> list:
     return value
 
 
-def _build(factory, context: str, *args, **kwargs):
-    """``factory(*args, **kwargs)``, reporting its ``ValueError`` as SCHEMA_INVALID."""
+def _build(factory, context: str, *args, code: str = "SCHEMA_INVALID", **kwargs):
+    """``factory(*args, **kwargs)``, reporting its ``ValueError`` as ``code``.
+
+    A non-divisible grid is always ``GRID_NOT_DIVISIBLE``.
+    """
     try:
         return factory(*args, **kwargs)
     except ValueError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"{context}: {exc}") from exc
+        if isinstance(exc, GridNotDivisibleError):
+            code = "GRID_NOT_DIVISIBLE"
+        raise ScenarioError(code, f"{context}: {exc}") from exc
 
 
 def parse_angle(value) -> float:
@@ -211,19 +208,13 @@ def parse_scenario(data: dict) -> Scenario:
         )
 
     roi_data = _require(data, "roi", "scenario")
-    extent = np.asarray(_vec(_require(roi_data, "extent", "roi"), "roi.extent"))
-    resolution = np.asarray(_vec(_require(roi_data, "resolution", "roi"), "roi.resolution"))
-    if np.any(extent <= 0) or np.any(resolution <= 0):
-        raise ScenarioError("SCHEMA_INVALID", "roi extent and resolution must be positive")
-    dims = np.rint(extent / resolution)
-    if np.any(dims < 1) or np.any(np.abs(dims * resolution - extent) > 1e-9 * extent):
-        raise ScenarioError(
-            "GRID_NOT_DIVISIBLE",
-            "roi extent must be an integer multiple of the resolution on every axis",
-        )
+    extent = _vec(_require(roi_data, "extent", "roi"), "roi.extent")
+    resolution = _vec(_require(roi_data, "resolution", "roi"), "roi.resolution")
     boxes_data = _list(roi_data.get("excluded_boxes", []), "roi.excluded_boxes")
     boxes = tuple(_box(box, f"roi.excluded_boxes[{i}]") for i, box in enumerate(boxes_data))
     roi = _build(RoiSpec, "roi", extent=extent, resolution=resolution, excluded_boxes=boxes)
+    if build_voxel_grid(roi).num_active == 0:
+        raise ScenarioError("SCHEMA_INVALID", "roi: the excluded boxes cover every voxel center")
 
     models_data = _require(data, "models", "scenario")
     if not isinstance(models_data, dict) or not models_data:
@@ -246,9 +237,7 @@ def parse_scenario(data: dict) -> Scenario:
     bounds_data = _require(data, "bounds", "scenario")
     lower = _parse_bound_vector(_require(bounds_data, "lower", "bounds"), "bounds.lower")
     upper = _parse_bound_vector(_require(bounds_data, "upper", "bounds"), "bounds.upper")
-    if np.any(lower.as_vector() > upper.as_vector()):
-        raise ScenarioError("BOUNDS_INVERTED", "bounds.lower exceeds bounds.upper")
-    bounds = PoseBounds(lower=lower, upper=upper)
+    bounds = _build(PoseBounds, "bounds", lower=lower, upper=upper, code="BOUNDS_INVERTED")
 
     abc_data = _require(data, "abc", "scenario")
     abc = _build(

@@ -31,14 +31,11 @@ from scipy.sparse import csgraph
 from .geometry import LidarModel, PoseConfig, VoxelGrid, world_to_lidar
 
 __all__ = [
-    "SubspaceCode",
     "beam_digits",
     "first_level_labels",
     "component_ids",
+    "segment",
 ]
-
-# One digit per LiDAR, each in [0, num_beams of that LiDAR].
-SubspaceCode = tuple[int, ...]
 
 # Bytes of digit columns the cache may hold.  A column takes one byte per
 # active voxel plus the overhead below, so this keeps ~660 columns of
@@ -183,8 +180,11 @@ def _padded(values: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, tuple[int,
     Returns the flat C-order array and its per-axis strides.  Every voxel's
     ``+x``/``+y``/``+z`` neighbour is then the cell one stride further on;
     past the last voxel along an axis that cell is padding, so a step can
-    never wrap onto the next row.  ``values`` must be non-negative.
+    never wrap onto the next row.  ``values`` must be non-negative and hold
+    one entry per active voxel.
     """
+    if np.shape(values) != (grid.num_active,):
+        raise ValueError("per-voxel values must align with the grid's active voxels")
     nx, ny, nz = grid.dims
     padded = np.full((nx + 1, ny + 1, nz + 1), -1, dtype=np.int64)
     padded[:nx, :ny, :nz][grid.active] = values
@@ -211,8 +211,8 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     Ids are dense in ``[0, count)`` and ordered by each component's minimum
     voxel index (lexicographic), which makes the labeling deterministic.
     """
-    if labels.ndim != 2 or labels.shape[0] != grid.num_active:
-        raise ValueError("labels must cover every active voxel, one row each")
+    if labels.ndim != 2:
+        raise ValueError("labels must be a matrix with one row per active voxel")
     codes, strides = _padded(_pack_rows(labels), grid)
 
     # Three graph entries per cell: its +x, +y and +z neighbour when that
@@ -241,3 +241,20 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     starts = first_row == rows
     rank = np.cumsum(starts) - 1
     return rank[first_row], int(np.count_nonzero(starts))
+
+
+def segment(
+    configs: Sequence[PoseConfig],
+    models: Sequence[LidarModel],
+    grid: VoxelGrid,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both levels for one configuration: per-voxel codes, component ids, and the count.
+
+    Raises ``ValueError`` when the grid has no active voxel, since there is
+    then no subspace to score or occupy.
+    """
+    if grid.num_active == 0:
+        raise ValueError("ROI has no active voxels; nothing to segment")
+    labels = first_level_labels(configs, models, grid)
+    comp, count = component_ids(labels, grid)
+    return labels, comp, count

@@ -266,6 +266,7 @@ def test_criterion_7_vsr_anticorrelates_with_detection_rate():
         upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
     )
     test_object = lp.ObjectSpec(dims=[2.0, 2.0, 2.0])
+    trial_settings = lp.OdrSettings(obj=test_object, trials=500, threshold=1)
     lower, upper = lp.decision_bounds(bounds, len(models))
 
     started = time.perf_counter()
@@ -276,7 +277,7 @@ def test_criterion_7_vsr_anticorrelates_with_detection_rate():
         poses = lp.poses_from_vector(config_rng.uniform(lower, upper), len(models))
         vsrs.append(lp.max_vsr(poses, models, grid))
         report = lp.estimate_odr(
-            poses, models, grid, test_object, 500, 1, np.random.default_rng(seeds[i + 1])
+            poses, models, grid, trial_settings, np.random.default_rng(seeds[i + 1])
         )
         odrs.append(report.odr)
     elapsed = time.perf_counter() - started

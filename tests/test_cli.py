@@ -228,6 +228,27 @@ class TestOdr:
             ]) == 0
             assert json.loads((out / "odr.json").read_text())["odr"] == expected
 
+    def test_placement_region_ending_at_the_roi_face(self, tmp_path):
+        # The grid's extent 3 * 0.3 is 0.8999999999999999, just under the
+        # written 0.9; a region up to 0.9 - 0.3 still keeps the object inside.
+        data = dict(
+            TINY,
+            roi={"extent": [0.9, 0.9, 0.9], "resolution": [0.3, 0.3, 0.3]},
+            bounds={"lower": [0.3, 0.3, 0.3, 0, 0, 0], "upper": [0.6, 0.6, 0.6, 0, 0.5, 0.2]},
+            odr={
+                "object_dims": [0.3, 0.3, 0.3],
+                "placement_region": {"min": [0, 0, 0], "max": [0.6, 0.6, 0.6]},
+                "trials": 40,
+            },
+        )
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        poses = tmp_path / "poses.json"
+        poses.write_text(json.dumps([{"position": [0.45, 0.45, 0.45]}]), encoding="utf-8")
+        out = tmp_path / "odr"
+        assert main(["odr", "--scenario", str(path), "--poses", str(poses), "--out", str(out)]) == 0
+        assert json.loads((out / "odr.json").read_text())["trials"] == 40
+
     def test_requires_poses_or_record(self, tiny_scenario, tmp_path, capsys):
         code = main(["odr", "--scenario", str(tiny_scenario), "--out", str(tmp_path)])
         assert code == 2
@@ -399,6 +420,48 @@ class TestInputsCheckedBeforeOut:
         assert main([*argv, "--scenario", inputs["scenario"], "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error[ARG_RANGE]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize"],
+            ["evaluate", "--poses", "{poses}"],
+            ["sweep", "--counts", "1"],
+            ["odr", "--poses", "{poses}"],
+            ["export-voxels", "--record", "{record}"],
+        ],
+        ids=["optimize", "evaluate", "sweep", "odr", "export-voxels"],
+    )
+    def test_roi_without_active_voxels(self, inputs, tmp_path, capsys, argv):
+        roi = {
+            "extent": [4.0, 4.0, 2.0],
+            "resolution": [1.0, 1.0, 1.0],
+            "excluded_boxes": [{"min": [0, 0, 0], "max": [4.0, 4.0, 2.0]}],
+        }
+        data = dict(TINY, roi=roi)
+        paths = {"poses": inputs["poses"], "scenario": tmp_path / "empty.json",
+                 "record": tmp_path / "record.json"}
+        paths["scenario"].write_text(json.dumps(data), encoding="utf-8")
+        record = {"best_poses": [{"position": [2.0, 2.0, 1.0]}], "scenario": data}
+        paths["record"].write_text(json.dumps(record), encoding="utf-8")
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] != "export-voxels":
+            argv += ["--scenario", str(paths["scenario"])]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        code = "RECORD_INVALID" if argv[0] == "export-voxels" else "SCHEMA_INVALID"
+        assert f"error[{code}]" in err and "every voxel center" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_export_voxels_pose_count_checked(self, tmp_path, capsys):
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps({"best_poses": [], "scenario": TINY}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["export-voxels", "--record", str(record), "--out", str(out)]) == 3
+        assert "error[RECORD_INVALID]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_export_voxels_thread_count_checked(self, tmp_path, capsys):

@@ -165,14 +165,6 @@ class TestMaxVsr:
         double = lp.max_vsr([pose, pose], [model, model], grid)
         assert single == double
 
-    def test_roi_spec_and_prebuilt_grid_agree(self):
-        roi = lp.RoiSpec(extent=[4, 4, 2], resolution=[1, 1, 1])
-        model = lp.LidarModel(beam_pitches=[0.0])
-        pose = lp.PoseConfig(position=[2.0, 2.0, 1.5])
-        assert lp.max_vsr([pose], [model], roi) == lp.max_vsr(
-            [pose], [model], lp.build_voxel_grid(roi)
-        )
-
     def test_deterministic_bitwise(self):
         roi = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])
         grid = lp.build_voxel_grid(roi)
@@ -219,11 +211,12 @@ class TestMaxVsr:
         roi = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])
         model = lp.LidarModel(beam_pitches=[-0.2, 0.2])
         pose = lp.PoseConfig(position=[4.0, 4.0, 3.0])
-        report = lp.evaluate_placement([pose], [model], roi)
+        grid = lp.build_voxel_grid(roi)
+        report = lp.evaluate_placement([pose], [model], grid)
         assert report.objective == max(rec.vsr for rec in report.subspaces)
         assert report.worst.vsr == report.objective
         total = sum(rec.voxel_count for rec in report.subspaces)
-        assert total == lp.build_voxel_grid(roi).num_active
+        assert total == grid.num_active
         for rec in report.subspaces:
             assert rec.vsr > 0
             assert rec.inscribed_radius_estimate == 3.0 * rec.vsr

@@ -11,16 +11,14 @@ from grids import blob_grid
 from lidarplace import odr
 from oracles import occupied_subspaces_ref
 
-ROI = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])
+GRID = lp.build_voxel_grid(lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1]))
 MODEL = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
 POSE = lp.PoseConfig(position=[4.0, 4.0, 3.0])
 
 
 def labeled_grid():
-    grid = lp.build_voxel_grid(ROI)
-    labels = lp.first_level_labels([POSE], [MODEL], grid)
-    comp, count = lp.component_ids(labels, grid)
-    return grid, comp, count
+    _, comp, count = lp.segment([POSE], [MODEL], GRID)
+    return GRID, comp, count
 
 
 class TestObjectSpec:
@@ -36,6 +34,24 @@ class TestObjectSpec:
     def test_oversized_object_rejected(self):
         with pytest.raises(ValueError):
             lp.ObjectSpec(dims=[9, 1, 1]).corner_region([8, 8, 4])
+
+    def test_region_may_end_at_the_grid_extent(self):
+        # 3 * 0.3 is 0.8999999999999999, below the written extent 0.9: a
+        # region that ends at 0.9 - dims must pass against both extents.
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=[0.9, 0.9, 0.9], resolution=[0.3, 0.3, 0.3]))
+        assert grid.extent[0] < 0.9
+        region = lp.Box(minimum=[0, 0, 0], maximum=[0.6, 0.6, 0.6])
+        spec = lp.ObjectSpec(dims=[0.3, 0.3, 0.3], placement_region=region)
+        for extent in ([0.9, 0.9, 0.9], grid.extent):
+            assert spec.corner_region(extent) is spec.placement_region
+        # an object as large as the ROI fits, and its default region is one point
+        whole = lp.ObjectSpec(dims=[0.9, 0.9, 0.9])
+        assert whole.corner_region(grid.extent).maximum.tolist() == [0.0, 0.0, 0.0]
+        # the slack is EXTENT_TOLERANCE of the extent, not more
+        region = lp.Box(minimum=[0, 0, 0], maximum=[0.6 + 1e-6] * 3)
+        over = lp.ObjectSpec(dims=[0.3, 0.3, 0.3], placement_region=region)
+        with pytest.raises(ValueError):
+            over.corner_region(grid.extent)
 
     def test_custom_region_validated(self):
         spec = lp.ObjectSpec(
@@ -145,9 +161,8 @@ class TestBatchedOccupancy:
             assert lp.count_occupied_subspaces(lp.Box(minimum=a, maximum=b), comp, grid) == count
 
 
-def estimate_odr_ref(configs, models, roi, obj, trials, threshold, rng):
+def estimate_odr_ref(configs, models, grid, obj, trials, threshold, rng):
     """Detections of the same trials as :func:`lp.estimate_odr`, scanning every center per trial."""
-    grid = lp.build_voxel_grid(roi)
     comp, _ = lp.component_ids(lp.first_level_labels(configs, models, grid), grid)
     region = obj.corner_region(grid.extent)
     corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
@@ -185,13 +200,13 @@ class TestEstimateOdr:
                 placement_region=lp.Box(minimum=center([1, 0, 1]), maximum=center([1, 8, 1])),
             ),
         ]
+        grid = lp.build_voxel_grid(roi)
         for obj in objects:
             for threshold in (0, 1, 2, 4):
-                report = lp.estimate_odr(
-                    poses, models, roi, obj, 100, threshold, np.random.default_rng(seed)
-                )
+                settings = lp.OdrSettings(obj, 100, threshold)
+                report = lp.estimate_odr(poses, models, grid, settings, np.random.default_rng(seed))
                 expected = estimate_odr_ref(
-                    poses, models, roi, obj, 100, threshold, np.random.default_rng(seed)
+                    poses, models, grid, obj, 100, threshold, np.random.default_rng(seed)
                 )
                 assert report.detections == expected
                 assert report.odr == expected / 100
@@ -199,7 +214,7 @@ class TestEstimateOdr:
     def test_threshold_zero_with_full_coverage(self):
         obj = lp.ObjectSpec(dims=[2, 2, 2])
         report = lp.estimate_odr(
-            [POSE], [MODEL], ROI, obj, 200, 0, np.random.default_rng(52)
+            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 200, 0), np.random.default_rng(52)
         )
         assert report.odr == 1.0
         assert report.detections == report.trials == 200
@@ -208,7 +223,7 @@ class TestEstimateOdr:
         _, _, count = labeled_grid()
         obj = lp.ObjectSpec(dims=[2, 2, 2])
         report = lp.estimate_odr(
-            [POSE], [MODEL], ROI, obj, 200, count, np.random.default_rng(53)
+            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 200, count), np.random.default_rng(53)
         )
         assert report.odr == 0.0
 
@@ -216,7 +231,7 @@ class TestEstimateOdr:
         obj = lp.ObjectSpec(dims=[2, 2, 2])
         rates = [
             lp.estimate_odr(
-                [POSE], [MODEL], ROI, obj, 300, thr, np.random.default_rng(54)
+                [POSE], [MODEL], GRID, lp.OdrSettings(obj, 300, thr), np.random.default_rng(54)
             ).odr
             for thr in range(0, 4)
         ]
@@ -225,14 +240,15 @@ class TestEstimateOdr:
 
     def test_deterministic_for_fixed_seed(self):
         obj = lp.ObjectSpec(dims=[1.5, 1.5, 1.5])
-        a = lp.estimate_odr([POSE], [MODEL], ROI, obj, 250, 1, np.random.default_rng(55))
-        b = lp.estimate_odr([POSE], [MODEL], ROI, obj, 250, 1, np.random.default_rng(55))
+        settings = lp.OdrSettings(obj, 250, 1)
+        a = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(55))
+        b = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(55))
         assert a == b
 
     def test_report_invariants(self):
         obj = lp.ObjectSpec(dims=[2, 2, 2])
         report = lp.estimate_odr(
-            [POSE], [MODEL], ROI, obj, 123, 1, np.random.default_rng(56)
+            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 123, 1), np.random.default_rng(56)
         )
         assert report.detections <= report.trials
         assert report.odr == report.detections / report.trials
@@ -240,6 +256,17 @@ class TestEstimateOdr:
     def test_bad_arguments_rejected(self):
         obj = lp.ObjectSpec(dims=[1, 1, 1])
         with pytest.raises(ValueError):
-            lp.estimate_odr([POSE], [MODEL], ROI, obj, 0, 1, np.random.default_rng(0))
+            lp.OdrSettings(obj, 0, 1)
         with pytest.raises(ValueError):
-            lp.estimate_odr([POSE], [MODEL], ROI, obj, 10, -1, np.random.default_rng(0))
+            lp.OdrSettings(obj, 10, -1)
+
+    def test_roi_without_active_voxels_rejected(self):
+        roi = lp.RoiSpec(
+            extent=[4, 4, 2],
+            resolution=[1, 1, 1],
+            excluded_boxes=[lp.Box(minimum=[0, 0, 0], maximum=[4, 4, 2])],
+        )
+        grid = lp.build_voxel_grid(roi)
+        settings = lp.OdrSettings(lp.ObjectSpec(dims=[1, 1, 1]), 10, 1)
+        with pytest.raises(ValueError, match="no active voxels"):
+            lp.estimate_odr([POSE], [MODEL], grid, settings, np.random.default_rng(0))

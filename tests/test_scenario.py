@@ -124,6 +124,34 @@ class TestNamedErrors:
         data["roi"] = {"extent": [8.0, 8.0, 4.0], "resolution": [3.0, 1.0, 1.0]}
         self.expect(data, "GRID_NOT_DIVISIBLE")
 
+    def test_grid_size_errors_are_mapped_by_kind(self):
+        # RoiSpec raises both kinds; the parser maps each to its own code.
+        for extent, resolution, code in (
+            ([0.0, 8.0, 4.0], [1.0, 1.0, 1.0], "SCHEMA_INVALID"),
+            ([8.0, 8.0, 4.0], [-1.0, 1.0, 1.0], "SCHEMA_INVALID"),
+            ([0.5, 8.0, 4.0], [1.0, 1.0, 1.0], "GRID_NOT_DIVISIBLE"),  # zero voxels
+        ):
+            data = minimal_scenario()
+            data["roi"] = {"extent": extent, "resolution": resolution}
+            self.expect(data, code)
+
+    def test_malformed_box_wins_over_non_divisible_grid(self):
+        data = minimal_scenario()
+        data["roi"] = {
+            "extent": [8.0, 8.0, 4.0],
+            "resolution": [3.0, 1.0, 1.0],
+            "excluded_boxes": [{"min": [0, 0, 0]}],
+        }
+        self.expect(data, "SCHEMA_FIELD")
+
+    def test_roi_without_active_voxels(self):
+        data = minimal_scenario()
+        data["roi"]["excluded_boxes"] = [{"min": [0, 0, 0], "max": [8.0, 8.0, 4.0]}]
+        self.expect(data, "SCHEMA_INVALID")
+        # one voxel center left outside the box is enough
+        data["roi"]["excluded_boxes"] = [{"min": [0, 0, 0], "max": [8.0, 8.0, 3.4]}]
+        assert lp.build_voxel_grid(parse_scenario(data).roi).num_active == 64
+
     def test_bounds_inverted(self):
         data = minimal_scenario()
         data["bounds"] = {
