@@ -25,7 +25,7 @@ print(f"sphere benchmark: best cost {result.best_cost:.2e} at {result.best_solut
 
 # Placement search on the scaled-down rooftop scenario.
 scenario = lp.load_scenario("scenarios/av_rooftop_small.json")
-grid = lp.build_voxel_grid(scenario.roi)
+grid = scenario.grid
 models = scenario.model_sequence()
 print(f"\nplacement search: {len(models)} sensors, grid {grid.dims}, "
       f"{scenario.abc.num_bees} bees x {scenario.abc.max_iterations} iterations")

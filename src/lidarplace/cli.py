@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bees, cost
-from .geometry import PoseConfig, build_voxel_grid
+from .geometry import PoseConfig
 from .odr import estimate_odr
 from .scenario import (
     Scenario,
@@ -212,7 +212,7 @@ def cmd_optimize(args) -> int:
     scenario = _load_effective_scenario(args)
     out = _out_dir(args)
     digest = scenario_digest(scenario)
-    grid = build_voxel_grid(scenario.roi)
+    grid = scenario.grid
     models = scenario.model_sequence()
 
     started = time.perf_counter()
@@ -265,8 +265,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     _warn_out_of_bounds(poses, scenario.bounds)
 
-    grid = build_voxel_grid(scenario.roi)
-    report = cost.evaluate_placement(poses, models, grid)
+    report = cost.evaluate_placement(poses, models, scenario.grid)
     _write_json(
         out / "evaluation.json",
         {
@@ -313,10 +312,9 @@ def cmd_sweep(args) -> int:
         for count in counts:
             cell = replace(scenario, lidars=((name, count),))
             try:
-                grid = build_voxel_grid(cell.roi)
                 models = cell.model_sequence()
                 result = bees.optimize(
-                    cost.make_objective(models, grid),
+                    cost.make_objective(models, cell.grid),
                     cost.decision_bounds(cell.bounds, len(models)),
                     cell.abc,
                     threads=args.threads,
@@ -377,7 +375,7 @@ def cmd_odr(args) -> int:
             f"scenario places {len(models)} sensors but got {len(poses)} poses",
         )
     out = _out_dir(args)
-    grid = build_voxel_grid(scenario.roi)
+    grid = scenario.grid
 
     report = estimate_odr(poses, models, grid, settings, np.random.default_rng(seed))
     payload = {
@@ -423,7 +421,7 @@ def cmd_export_voxels(args) -> int:
     if len(poses) != len(models):
         raise CliError("RECORD_INVALID", "record poses do not match its scenario")
     out = _out_dir(args)
-    grid = build_voxel_grid(scenario.roi)
+    grid = scenario.grid
     labels, comp, count = segment(poses, models, grid)
     csv_path, ply_path = _write_voxel_export(out, grid, labels, comp)
     print(f"exported {grid.num_active} voxels over {count} subspaces")

@@ -26,6 +26,7 @@ __all__ = [
     "LidarModel",
     "RoiSpec",
     "GridNotDivisibleError",
+    "GridTooLargeError",
     "VoxelGrid",
     "rotation_matrix",
     "world_to_lidar",
@@ -47,6 +48,10 @@ MAX_BEAMS = 255
 # a multiple of the resolution, or an object placement that ends at the ROI
 # face.  ``dims * resolution`` may round a little off the written extent.
 EXTENT_TOLERANCE = 1e-9
+
+# Most voxels a grid may have, ~350x av_rooftop's 48 000: building a grid takes
+# over 100 bytes per voxel, and padded-grid cell indices stay within int32.
+MAX_VOXELS = 2**24
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -182,13 +187,18 @@ class GridNotDivisibleError(ValueError):
     """An ROI extent that is not a whole, nonzero number of voxels on some axis."""
 
 
+class GridTooLargeError(ValueError):
+    """An ROI with more than ``MAX_VOXELS`` voxels."""
+
+
 @dataclass(frozen=True, eq=False)
 class RoiSpec:
     """Region of interest: extent, voxel resolution, and excluded boxes.
 
     The ROI corner sits at the world origin.  Each extent component must be a
     positive integer multiple of the matching resolution component, within
-    ``EXTENT_TOLERANCE`` relative (else :class:`GridNotDivisibleError`).
+    ``EXTENT_TOLERANCE`` relative (else :class:`GridNotDivisibleError`), for
+    at most ``MAX_VOXELS`` voxels in all (else :class:`GridTooLargeError`).
     Excluded boxes (e.g. the vehicle body) must lie within the extent.
     """
 
@@ -212,6 +222,9 @@ class RoiSpec:
                 "extent must be an integer multiple of resolution on every axis "
                 f"(extent={self.extent.tolist()}, resolution={self.resolution.tolist()})"
             )
+        voxels = math.prod(dims.tolist())
+        if voxels > MAX_VOXELS:
+            raise GridTooLargeError(f"{voxels:.4g} voxels exceed the limit of {MAX_VOXELS}")
         for box in self.excluded_boxes:
             if not isinstance(box, Box):
                 raise ValueError("excluded_boxes entries must be Box instances")

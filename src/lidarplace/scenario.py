@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,12 @@ from .bees import AbcParams
 from .geometry import (
     Box,
     GridNotDivisibleError,
+    GridTooLargeError,
     LidarModel,
     PoseBounds,
     PoseConfig,
     RoiSpec,
+    VoxelGrid,
     build_voxel_grid,
 )
 from .odr import ObjectSpec, OdrSettings
@@ -66,6 +68,7 @@ class Scenario:
     bounds: PoseBounds
     abc: AbcParams
     odr: OdrSettings
+    grid: VoxelGrid = field(repr=False)  # ``roi`` voxelized once, when parsed
 
     @property
     def num_lidars(self) -> int:
@@ -106,17 +109,16 @@ def _list(value, context: str) -> list:
     return value
 
 
-def _build(factory, context: str, *args, code: str = "SCHEMA_INVALID", **kwargs):
-    """``factory(*args, **kwargs)``, reporting its ``ValueError`` as ``code``.
+# A grid error keeps its own code, whatever code the caller passes.
+_GRID_CODES = {GridNotDivisibleError: "GRID_NOT_DIVISIBLE", GridTooLargeError: "GRID_TOO_LARGE"}
 
-    A non-divisible grid is always ``GRID_NOT_DIVISIBLE``.
-    """
+
+def _build(factory, context: str, *args, code: str = "SCHEMA_INVALID", **kwargs):
+    """``factory(*args, **kwargs)``, reporting its ``ValueError`` as ``code``."""
     try:
         return factory(*args, **kwargs)
     except ValueError as exc:
-        if isinstance(exc, GridNotDivisibleError):
-            code = "GRID_NOT_DIVISIBLE"
-        raise ScenarioError(code, f"{context}: {exc}") from exc
+        raise ScenarioError(_GRID_CODES.get(type(exc), code), f"{context}: {exc}") from exc
 
 
 def parse_angle(value) -> float:
@@ -213,7 +215,8 @@ def parse_scenario(data: dict) -> Scenario:
     boxes_data = _list(roi_data.get("excluded_boxes", []), "roi.excluded_boxes")
     boxes = tuple(_box(box, f"roi.excluded_boxes[{i}]") for i, box in enumerate(boxes_data))
     roi = _build(RoiSpec, "roi", extent=extent, resolution=resolution, excluded_boxes=boxes)
-    if build_voxel_grid(roi).num_active == 0:
+    grid = build_voxel_grid(roi)
+    if grid.num_active == 0:
         raise ScenarioError("SCHEMA_INVALID", "roi: the excluded boxes cover every voxel center")
 
     models_data = _require(data, "models", "scenario")
@@ -273,7 +276,9 @@ def parse_scenario(data: dict) -> Scenario:
         threshold=_integer(odr_data.get("threshold", 1), "odr.threshold"),
     )
 
-    return Scenario(roi=roi, models=models, lidars=tuple(lidars), bounds=bounds, abc=abc, odr=settings)
+    return Scenario(
+        roi=roi, models=models, lidars=tuple(lidars), bounds=bounds, abc=abc, odr=settings, grid=grid
+    )
 
 
 def load_scenario(path) -> Scenario:

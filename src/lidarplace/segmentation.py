@@ -14,7 +14,10 @@ recomputes only that sensor's column.
 
 Second level: voxels sharing a code are split into maximal face-connected
 (6-connected) components.  Each component is one non-detectable subspace: a
-static object strictly inside it intersects no beam cone.
+static object strictly inside it intersects no beam cone.  Labelling first
+contracts each maximal same-code run along y into one node, then joins runs
+by their same-code face pairs along x and z; component ids are ordered by
+each component's first voxel in C order.
 """
 
 from __future__ import annotations
@@ -177,30 +180,32 @@ def _pack_rows(labels: np.ndarray) -> np.ndarray:
 def _padded(values: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Active-voxel ``values`` on the grid grown by one ``-1`` layer at the high end of each axis.
 
-    Returns the flat C-order array and its per-axis strides.  Every voxel's
-    ``+x``/``+y``/``+z`` neighbour is then the cell one stride further on;
-    past the last voxel along an axis that cell is padding, so a step can
-    never wrap onto the next row.  ``values`` must be non-negative and hold
-    one entry per active voxel.
+    Returns the flat array, laid out x-major, then z, with y contiguous, and
+    its per-axis strides ``((ny+1)(nz+1), 1, ny+1)``.  Every voxel's
+    ``+x``/``+y``/``+z`` neighbour is the cell one stride further on; past
+    the last voxel along an axis that cell is padding, so a step can never
+    wrap onto the next row.  ``values`` must be non-negative and hold one
+    entry per active voxel.
     """
     if np.shape(values) != (grid.num_active,):
         raise ValueError("per-voxel values must align with the grid's active voxels")
     nx, ny, nz = grid.dims
-    padded = np.full((nx + 1, ny + 1, nz + 1), -1, dtype=np.int64)
-    padded[:nx, :ny, :nz][grid.active] = values
-    return padded.reshape(-1), ((ny + 1) * (nz + 1), nz + 1, 1)
+    strides = ((ny + 1) * (nz + 1), 1, ny + 1)
+    padded = np.full((nx + 1) * strides[0], -1, dtype=np.int64)
+    padded[_cells(grid, strides)] = values
+    return padded, strides
+
+
+def _cells(grid: VoxelGrid, strides: tuple[int, int, int]) -> np.ndarray:
+    """Flat index of each active voxel in the layout of :func:`_padded`."""
+    index = grid.active_indices
+    return index[:, 0] * strides[0] + index[:, 1] * strides[1] + index[:, 2] * strides[2]
 
 
 def _face_pairs(flat: np.ndarray, stride: int) -> np.ndarray:
     """Mask over ``flat[:-stride]``: the cell and the one ``stride`` on hold the same value >= 0."""
     head = flat[:-stride]
     return (head >= 0) & (head == flat[stride:])
-
-
-def _active_cells(padded_values: np.ndarray, grid: VoxelGrid) -> np.ndarray:
-    """The active voxels' entries of a flat array laid out as :func:`_padded` lays it."""
-    nx, ny, nz = grid.dims
-    return padded_values.reshape(nx + 1, ny + 1, nz + 1)[:nx, :ny, :nz][grid.active]
 
 
 def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]:
@@ -213,34 +218,42 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     """
     if labels.ndim != 2:
         raise ValueError("labels must be a matrix with one row per active voxel")
-    codes, strides = _padded(_pack_rows(labels), grid)
+    codes, (sx, _, sz) = _padded(_pack_rows(labels), grid)
 
-    # Three graph entries per cell: its +x, +y and +z neighbour when that
-    # holds the same code, else a self loop.  Rows are filled in order, so
-    # the CSR arrays are built directly, with the int32 indices scipy's graph
-    # routines take.
-    n_cells = codes.size
-    neighbours = np.empty((n_cells, 3), dtype=np.int32)
-    cells = np.arange(n_cells, dtype=np.int32)
-    for axis, stride in enumerate(strides):
-        column = neighbours[:, axis]
-        column[:] = cells
-        column[:-stride] += _face_pairs(codes, stride) * np.int32(stride)
-    graph = sparse.csr_matrix(
-        (np.ones(3 * n_cells), neighbours.reshape(-1), np.arange(0, 3 * n_cells + 1, 3)),
-        shape=(n_cells, n_cells),
-    )
-    n_raw, raw_cells = csgraph.connected_components(graph, directed=False)
+    # Nodes are maximal same-code runs along y; the padding cell ending each
+    # row ends its last run.
+    same = codes[1:] == codes[:-1]
+    starts = codes >= 0
+    starts[1:] &= ~same
+    run = np.cumsum(starts) - 1
 
-    # Renumber by first appearance in active order in O(n).
-    raw = _active_cells(raw_cells, grid)
-    rows = np.arange(raw.size)
-    first = np.full(n_raw, raw.size, dtype=np.int64)
-    np.minimum.at(first, raw, rows)
-    first_row = first[raw]
-    starts = first_row == rows
-    rank = np.cumsum(starts) - 1
-    return rank[first_row], int(np.count_nonzero(starts))
+    # Edges join runs by x and z face pairs.  A pair is skipped when its y
+    # predecessor pairs too within the same run, as it joins the same runs.
+    edges = []
+    for stride in (sx, sz):
+        pairs = _face_pairs(codes, stride)
+        pairs[1:] &= ~(pairs[:-1] & same[: pairs.size - 1])
+        cells = np.flatnonzero(pairs)
+        edges.append((run[cells], run[cells + stride]))
+    src, dst = np.concatenate(edges, axis=1)
+    # CSR rows by source run, in scipy's own dtypes so that it copies nothing.
+    n_runs = int(run[-1]) + 1
+    indptr = np.zeros(n_runs + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n_runs), out=indptr[1:])
+    dst = dst[np.argsort(src, kind="stable")].astype(np.int32)
+    graph = sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(n_runs, n_runs))
+    count, run_comp = csgraph.connected_components(graph, directed=False)
+
+    # A run's first voxel in C order is its start: rank each component by
+    # the C-order index of its earliest run start.
+    nx, ny, nz = grid.dims
+    i, rest = np.divmod(np.flatnonzero(starts), sx)
+    k, j = np.divmod(rest, sz)
+    first = np.full(count, nx * ny * nz)
+    np.minimum.at(first, run_comp, (i * ny + j) * nz + k)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    return rank[run_comp][run[_cells(grid, (sx, 1, sz))]], count
 
 
 def segment(

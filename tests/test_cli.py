@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import lidarplace as lp
 from lidarplace import cli
 from lidarplace.cli import main
+from lidarplace.geometry import MAX_VOXELS
 from oracles import brute_force_max_vsr, voxel_export_ref
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -456,6 +458,37 @@ class TestInputsCheckedBeforeOut:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize"],
+            ["evaluate", "--poses", "{poses}"],
+            ["sweep", "--counts", "1"],
+            ["odr", "--poses", "{poses}"],
+            ["export-voxels", "--record", "{record}"],
+        ],
+        ids=["optimize", "evaluate", "sweep", "odr", "export-voxels"],
+    )
+    def test_grid_over_the_voxel_limit(self, inputs, tmp_path, capsys, argv):
+        # 10^12 voxels would need terabytes; the count is checked before allocating
+        roi = {"extent": [10000.0, 10000.0, 10000.0], "resolution": [1.0, 1.0, 1.0]}
+        data = dict(TINY, roi=roi)
+        paths = {"poses": inputs["poses"], "scenario": tmp_path / "huge.json",
+                 "record": tmp_path / "record.json"}
+        paths["scenario"].write_text(json.dumps(data), encoding="utf-8")
+        record = {"best_poses": [{"position": [4.0, 4.0, 3.0]}], "scenario": data}
+        paths["record"].write_text(json.dumps(record), encoding="utf-8")
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] != "export-voxels":
+            argv += ["--scenario", str(paths["scenario"])]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        code = "RECORD_INVALID" if argv[0] == "export-voxels" else "GRID_TOO_LARGE"
+        assert f"error[{code}]" in err and f"limit of {MAX_VOXELS}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_export_voxels_pose_count_checked(self, tmp_path, capsys):
         record = tmp_path / "record.json"
         record.write_text(json.dumps({"best_poses": [], "scenario": TINY}), encoding="utf-8")
@@ -477,6 +510,37 @@ class TestInputsCheckedBeforeOut:
         argv = ["odr", "--scenario", inputs["scenario"], "--poses", inputs["poses"], "--scatter", "0"]
         assert main([*argv, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["odr.json"]
+
+
+class TestOneGridBuildPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--threads", "2"],
+            ["evaluate", "--poses", "{poses}"],
+            ["sweep", "--counts", "1,2"],
+            ["odr", "--poses", "{poses}", "--scatter", "2"],
+            ["export-voxels", "--record", "{record}"],
+        ],
+        ids=["optimize", "evaluate", "sweep", "odr", "export-voxels"],
+    )
+    def test_grid_is_built_once(self, tiny_scenario, tmp_path, argv):
+        poses = tmp_path / "poses.json"
+        poses.write_text(json.dumps([{"position": [4.0, 4.0, 3.0]}]), encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["optimize", "--scenario", str(tiny_scenario), "--out", str(run)]) == 0
+        paths = {"poses": poses, "record": run / "results.json"}
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] != "export-voxels":
+            argv += ["--scenario", str(tiny_scenario)]
+        counted = mock.Mock(wraps=lp.build_voxel_grid)
+        with contextlib.ExitStack() as patches:
+            # every module attribute the builder can be looked up under
+            for module in (lp, lp.geometry, lp.scenario, lp.cli, lp.cost, lp.odr, lp.segmentation):
+                if hasattr(module, "build_voxel_grid"):
+                    patches.enter_context(mock.patch.object(module, "build_voxel_grid", counted))
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert counted.call_count == 1
 
 
 def _labelled(roi, poses, models):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lidarplace as lp
+from lidarplace.geometry import MAX_VOXELS, GridTooLargeError
 from oracles import world_to_lidar_ref
 
 
@@ -159,6 +160,14 @@ class TestVoxelGrid:
     def test_rejects_non_divisible_resolution(self):
         with pytest.raises(ValueError):
             lp.RoiSpec(extent=[10, 10, 4], resolution=[3, 1, 1])
+
+    def test_voxel_count_limit_checked_before_allocation(self):
+        # at the limit the spec is accepted (and not built here)
+        roi = lp.RoiSpec(extent=[MAX_VOXELS, 1, 1], resolution=[1, 1, 1])
+        assert roi.grid_dims == (MAX_VOXELS, 1, 1)
+        for extent in ([MAX_VOXELS + 1, 1, 1], [1e4, 1e4, 1e4], [1e300, 1e300, 1e300]):
+            with pytest.raises(GridTooLargeError, match=str(MAX_VOXELS)):
+                lp.RoiSpec(extent=extent, resolution=[1, 1, 1])
 
     def test_excluded_box_must_fit(self):
         with pytest.raises(ValueError):

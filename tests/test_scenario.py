@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lidarplace as lp
+from lidarplace.geometry import MAX_VOXELS
 from lidarplace.scenario import parse_angle, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -134,6 +135,21 @@ class TestNamedErrors:
             data = minimal_scenario()
             data["roi"] = {"extent": extent, "resolution": resolution}
             self.expect(data, code)
+
+    def test_grid_over_the_voxel_limit(self):
+        # 10^12 voxels: rejected by count, before anything is allocated
+        data = minimal_scenario()
+        data["roi"] = {"extent": [10000.0, 10000.0, 10000.0], "resolution": [1.0, 1.0, 1.0]}
+        self.expect(data, "GRID_TOO_LARGE")
+        data["roi"] = {"extent": [1e300, 1e300, 1e300], "resolution": [1.0, 1.0, 1.0]}
+        self.expect(data, "GRID_TOO_LARGE")
+
+    def test_parsed_scenario_carries_its_grid(self):
+        scenario = parse_scenario(minimal_scenario())
+        assert scenario.grid.dims == (8, 8, 4) and scenario.grid.num_active == 256
+        # the full-scale fixture sits far below the voxel limit
+        full = lp.load_scenario(SCENARIO_DIR / "av_rooftop.json")
+        assert full.grid.num_voxels == 48_000 and MAX_VOXELS >= 300 * full.grid.num_voxels
 
     def test_malformed_box_wins_over_non_divisible_grid(self):
         data = minimal_scenario()

@@ -371,3 +371,90 @@ class TestConnectedComponents:
         comp, count = lp.component_ids(labels, grid)
         assert count == 3
         assert comp.tolist() == [0, 0, 1, 2]
+
+
+def assert_matches_flood_fill(grid, labels):
+    """``component_ids`` against the flood-fill oracle, with dense lexicographic ids."""
+    comp, count = lp.component_ids(labels, grid)
+    cells = {
+        tuple(index): tuple(code)
+        for index, code in zip(grid.active_indices.tolist(), labels.tolist())
+    }
+    assert set(component_sets(comp, count, grid)) == set(flood_fill_components(cells))
+    assert_valid_partition(grid, labels, comp, count)
+    first_rows = [int(np.flatnonzero(comp == c)[0]) for c in range(count)]
+    assert first_rows == sorted(first_rows)
+    return comp, count
+
+
+@st.composite
+def labelled_grids(draw):
+    """A small grid, maybe with an excluded box, and per-voxel codes with long y-runs likely."""
+    dims = [draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 5))]
+    boxes = ()
+    if draw(st.booleans()):
+        lo = [draw(st.integers(0, d - 1)) for d in dims]
+        hi = [draw(st.integers(a + 1, d)) for a, d in zip(lo, dims)]
+        # faces a quarter voxel inside the index range: no center lies on a face
+        boxes = (lp.Box(minimum=[a + 0.25 for a in lo], maximum=[b - 0.25 for b in hi]),)
+    grid = grid_of([float(d) for d in dims], [1, 1, 1], boxes)
+    if grid.num_active == 0:
+        grid = grid_of([float(d) for d in dims], [1, 1, 1])
+    index = grid.active_indices
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "slabs", "blocks", "blocks+noise"]))
+    if kind == "random":
+        labels = rng.integers(0, draw(st.integers(1, 3)), (grid.num_active, draw(st.integers(1, 3))))
+    elif kind == "slabs":
+        # constant along y: every row is one run
+        axis, width = draw(st.sampled_from([0, 2])), draw(st.integers(1, 3))
+        labels = (index[:, [axis]] // width) % 2
+    else:
+        size = [draw(st.integers(1, 4)) for _ in range(3)]
+        labels = ((index // size).sum(axis=1, keepdims=True)) % draw(st.integers(2, 3))
+        if kind == "blocks+noise":
+            flip = rng.random(grid.num_active) < 0.1
+            labels = np.concatenate([labels, flip[:, None].astype(np.int64)], axis=1)
+    if draw(st.booleans()):
+        # digits too wide for mixed-radix packing: the row-identity fallback
+        labels = np.concatenate([labels * 2**40, labels[:, :1]], axis=1)
+    return grid, labels.astype(np.int64)
+
+
+class TestRunContractedLabelling:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=labelled_grids())
+    def test_matches_flood_fill(self, case):
+        assert_matches_flood_fill(*case)
+
+    def test_different_codes_in_one_row_both_pairing_across_x(self):
+        # rows 5 7 / 5 7: the 7-7 pair follows the 5-5 pair along y, but in
+        # another run, so it is an edge of its own
+        grid = grid_of([2, 2, 1], [1, 1, 1])
+        comp, count = assert_matches_flood_fill(grid, np.array([[5], [7], [5], [7]]))
+        assert count == 2 and comp.tolist() == [0, 1, 0, 1]
+
+    def test_row_end_and_next_row_start_stay_apart(self):
+        # (0, ny-1, 0) and (0, 0, 1) are consecutive along y in memory but
+        # share no face; the padding cell between them keeps their runs apart
+        grid = grid_of([1, 2, 2], [1, 1, 1])
+        labels = np.array([[1], [2], [2], [3]])  # rows: (0,0,0) (0,0,1) (0,1,0) (0,1,1)
+        comp, count = assert_matches_flood_fill(grid, labels)
+        assert count == 4 and comp.tolist() == [0, 1, 2, 3]
+
+    def test_component_joined_only_at_the_last_cell_of_a_run(self):
+        # x = 0 is one run of code 1; x = 1 holds 2 2 2 1, so the only face
+        # joining code 1 across x is at y = ny - 1
+        grid = grid_of([2, 4, 1], [1, 1, 1])
+        labels = np.array([[1], [1], [1], [1], [2], [2], [2], [1]])
+        comp, count = assert_matches_flood_fill(grid, labels)
+        assert count == 2 and comp.tolist() == [0, 0, 0, 0, 1, 1, 1, 0]
+
+    def test_ids_follow_c_order_not_run_order(self):
+        # runs are laid out x, z, y, so the run of (0, 1, 0) comes before the
+        # run of (0, 0, 1); in C order (0, 0, 1) comes first
+        grid = grid_of([1, 3, 2], [1, 1, 1])
+        # rows: (0,0,0) (0,0,1) (0,1,0) (0,1,1) (0,2,0) (0,2,1)
+        labels = np.array([[4], [6], [5], [6], [5], [6]])
+        comp, count = assert_matches_flood_fill(grid, labels)
+        assert count == 3 and comp.tolist() == [0, 1, 2, 1, 2, 1]
