@@ -391,16 +391,18 @@ def cmd_odr(args) -> int:
 
     if args.scatter:
         rows = ["max_vsr,odr"]
-        seeds = np.random.SeedSequence(seed).spawn(args.scatter + 1)
-        config_rng = np.random.default_rng(seeds[0])
+
+        def child_rng(i):
+            # Child i of SeedSequence(seed).spawn(...), built only when needed.
+            return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+        config_rng = child_rng(0)
         lower, upper = cost.decision_bounds(scenario.bounds, len(models))
         for s in range(args.scatter):
             vec = config_rng.uniform(lower, upper)
             sample_poses = cost.poses_from_vector(vec, len(models))
             sample_vsr = cost.max_vsr(sample_poses, models, grid)
-            sample = estimate_odr(
-                sample_poses, models, grid, settings, np.random.default_rng(seeds[s + 1])
-            )
+            sample = estimate_odr(sample_poses, models, grid, settings, child_rng(s + 1))
             rows.append(f"{_fmt(sample_vsr)},{_fmt(sample.odr)}")
         (out / "vsr_odr.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
         payload["files"] = {"scatter": "vsr_odr.csv"}

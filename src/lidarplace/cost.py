@@ -5,7 +5,10 @@ area is counted per face orientation on the voxel grid: every face shared by
 two voxels of the same component is interior, and each voxel's two faces
 along an axis are exposed unless paired that way.  A face is "surface"
 whenever the face-adjacent voxel is not in the same component; ROI boundary,
-excluded region, and other-subspace neighbors all count identically.
+excluded region, and other-subspace neighbors all count identically.  The
+counts come from the y-runs of the segmentation's run helper: a component's
+voxels and x/z face pairs are the sums over its runs, and each run of ``n``
+voxels holds ``n - 1`` y face pairs.
 
 The placement objective is the maximum volume-to-surface-area ratio (VSR)
 over all subspaces; ``3 * VSR`` estimates the radius of the largest sphere
@@ -19,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import segmentation
 from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
-from .segmentation import _face_pairs, _padded, segment
+from .segmentation import _code_runs, _padded, _run_components, _runs, segment
 
 __all__ = [
     "SubspaceRecord",
@@ -69,16 +73,23 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
     """Per-component ``(sizes, volume, surface_area, vsr)`` arrays.
 
     ``comp`` holds a component id in ``[0, count)`` for every active voxel of
-    ``grid``, aligned with ``grid.active_indices``.  Row ``c`` of each array
-    describes component ``c``: its voxel count, volume in m^3, surface area in
-    m^2, and volume-to-surface-area ratio in meters.
+    ``grid``, aligned with ``grid.active_indices``; any partition will do,
+    face-connected or not.  Row ``c`` of each array describes component
+    ``c``: its voxel count, volume in m^3, surface area in m^2, and
+    volume-to-surface-area ratio in meters.
     """
-    flat, strides = _padded(comp, grid)
-    sizes = np.bincount(comp, minlength=count)
-    pairs_x, pairs_y, pairs_z = (
-        np.bincount(flat[:-stride][_face_pairs(flat, stride)], minlength=count)
-        for stride in strides
+    values, strides = _padded(comp, grid)
+    r = _runs(values, strides)
+    return _metrics(values[r.start], count, r, grid)
+
+
+def _metrics(group: np.ndarray, count: int, r, grid: VoxelGrid):
+    """:func:`component_metrics` of components made of the runs ``r``, run ``n`` in ``group[n]``."""
+    sizes, pairs_x, pairs_z = (
+        np.bincount(group, weights, minlength=count).astype(np.int64)
+        for weights in (r.length, r.pairs_x, r.pairs_z)
     )
+    pairs_y = sizes - np.bincount(group, minlength=count)
 
     ex, ey, ez = (float(c) for c in grid.resolution)
     sa = (
@@ -95,14 +106,17 @@ def max_vsr(
 ) -> float:
     """Objective value of a configuration set: the largest subspace VSR.
 
-    Runs the pipeline on the prebuilt ``grid`` (per-voxel codes,
-    face-connected components, per-component VSR).  A labeling that leaves
+    Labels the prebuilt ``grid`` (per-voxel codes), joins the codes' y-runs
+    into face-connected components and scores each component from its runs'
+    counts; the components are never numbered voxel by voxel, since the
+    maximum does not depend on their order.  A labeling that leaves
     everything in one subspace is valid and returns that block's VSR.
     Deterministic: identical inputs give bit-identical values.  See
     :func:`evaluate_placement` for the per-subspace table.
     """
-    _, comp, count = segment(configs, models, grid)
-    return float(component_metrics(comp, count, grid)[3].max())
+    r = _code_runs(segmentation.first_level_labels(configs, models, grid), grid)
+    count, run_comp = _run_components(r)
+    return float(_metrics(run_comp, count, r, grid)[3].max())
 
 
 def evaluate_placement(

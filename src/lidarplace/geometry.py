@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +50,8 @@ MAX_BEAMS = 255
 # face.  ``dims * resolution`` may round a little off the written extent.
 EXTENT_TOLERANCE = 1e-9
 
-# Most voxels a grid may have, ~350x av_rooftop's 48 000: building a grid takes
-# over 100 bytes per voxel, and padded-grid cell indices stay within int32.
+# Most voxels a grid may have, ~350x av_rooftop's 48 000: a grid keeps about
+# 50 bytes per voxel, and padded-grid cell indices stay within int32.
 MAX_VOXELS = 2**24
 
 
@@ -244,7 +245,8 @@ class VoxelGrid:
     ``active`` marks voxels whose centers are outside every excluded box.
     ``active_indices``/``active_centers`` list the active voxels in C order
     (lexicographic by index triple); all per-voxel arrays elsewhere in the
-    package align with that ordering.
+    package align with that ordering.  ``active_centers`` is stored
+    column-major, so each coordinate axis is one contiguous column.
     """
 
     dims: tuple[int, int, int]
@@ -270,6 +272,25 @@ class VoxelGrid:
     @property
     def extent(self) -> np.ndarray:
         return np.asarray(self.dims) * self.resolution
+
+    @property
+    def padded_strides(self) -> tuple[int, int, int]:
+        """Per-axis strides of the padded layout; see :attr:`padded_cells`."""
+        _, ny, nz = self.dims
+        return ((ny + 1) * (nz + 1), 1, ny + 1)
+
+    @cached_property
+    def padded_cells(self) -> np.ndarray:
+        """Flat index of each active voxel in the padded layout, built once per grid.
+
+        The padded layout is the grid grown by one cell at the high end of
+        each axis, laid out x-major, then z, with y contiguous: voxel
+        ``(i, j, k)`` sits at ``i * sx + j + k * sz`` for the strides
+        ``(sx, 1, sz)`` of :attr:`padded_strides`.
+        """
+        cells = self.active_indices @ np.array(self.padded_strides, dtype=np.int64)
+        cells.flags.writeable = False
+        return cells
 
     def voxel_index_of(self, points) -> np.ndarray:
         """Index triple of the voxel containing each point.
@@ -308,14 +329,15 @@ def world_to_lidar(pose: PoseConfig, points_world) -> np.ndarray:
     Inverts the rigid transform ``x_world = R @ x_local + position`` as
     ``x_local = R^T (x_world - position)``.  Accepts one point ``(3,)`` or a
     batch ``(n, 3)``; the components are expanded explicitly so both shapes
-    share one code path.
+    share one code path.  The result keeps the input's memory layout, so a
+    column-major batch gives contiguous coordinate columns.
     """
     r = rotation_matrix(pose)
     p = np.asarray(points_world, dtype=float)
     d0 = p[..., 0] - pose.position[0]
     d1 = p[..., 1] - pose.position[1]
     d2 = p[..., 2] - pose.position[2]
-    out = np.empty(p.shape, dtype=float)
+    out = np.empty_like(p)
     out[..., 0] = d0 * r[0, 0] + d1 * r[1, 0] + d2 * r[2, 0]
     out[..., 1] = d0 * r[0, 1] + d1 * r[1, 1] + d2 * r[2, 1]
     out[..., 2] = d0 * r[0, 2] + d1 * r[1, 2] + d2 * r[2, 2]
@@ -357,14 +379,17 @@ def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
     """
     nx, ny, nz = roi.grid_dims
     res = roi.resolution
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    indices = np.stack([ii, jj, kk], axis=-1).astype(np.int64)
-    centers = (indices + 0.5) * res
+    # Each axis's center coordinates; a box holds the centers whose every
+    # coordinate lies in its closed interval on that axis.
+    axes = [(np.arange(n) + 0.5) * res[a] for a, n in enumerate((nx, ny, nz))]
     active = np.ones((nx, ny, nz), dtype=bool)
     for box in roi.excluded_boxes:
-        active &= ~box.contains(centers)
-    active_indices = np.argwhere(active).astype(np.int64)
-    active_centers = (active_indices + 0.5) * res
+        x, y, z = ((c >= box.minimum[a]) & (c <= box.maximum[a]) for a, c in enumerate(axes))
+        active &= ~(x[:, None, None] & y[None, :, None] & z[None, None, :])
+    active_indices = np.argwhere(active).astype(np.int64, copy=False)
+    active_centers = np.empty(active_indices.shape, order="F")
+    for a, c in enumerate(axes):
+        active_centers[:, a] = c[active_indices[:, a]]
     active.flags.writeable = False
     active_indices.flags.writeable = False
     active_centers.flags.writeable = False

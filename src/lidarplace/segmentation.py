@@ -14,10 +14,13 @@ recomputes only that sensor's column.
 
 Second level: voxels sharing a code are split into maximal face-connected
 (6-connected) components.  Each component is one non-detectable subspace: a
-static object strictly inside it intersects no beam cone.  Labelling first
-contracts each maximal same-code run along y into one node, then joins runs
-by their same-code face pairs along x and z; component ids are ordered by
-each component's first voxel in C order.
+static object strictly inside it intersects no beam cone.  Values are laid
+on the grid's padded layout (``VoxelGrid.padded_cells``, built once per
+grid), and one run helper contracts each maximal same-value run along y
+into one node, counts its length and its same-value face pairs along x and
+z, and joins runs by those face pairs.  Component ids are ordered by each
+component's first voxel in C order; the objective (``cost.max_vsr``) needs
+no ids and scores components from their runs' counts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -143,16 +146,20 @@ def first_level_labels(
     models: Sequence[LidarModel],
     grid: VoxelGrid,
 ) -> np.ndarray:
-    """Per-active-voxel digit matrix, one column per LiDAR.
+    """Per-active-voxel digit matrix, one column per LiDAR, stored column-major.
 
     Row ``i`` holds the subspace code of ``grid.active_indices[i]``; digit
     ``j`` comes from transforming the voxel center into LiDAR ``j``'s frame
     and applying :func:`beam_digits`.  A column already computed for the same
-    pose, model and grid is taken from the column cache.
+    pose, model and grid is taken from the column cache.  Raises
+    ``ValueError`` when the grid has no active voxel, since there is then no
+    subspace to score or occupy.
     """
     if len(configs) != len(models) or len(configs) == 0:
         raise ValueError("need the same nonzero number of poses and models")
-    labels = np.empty((grid.num_active, len(configs)), dtype=np.int64)
+    if grid.num_active == 0:
+        raise ValueError("ROI has no active voxels; nothing to segment")
+    labels = np.empty((grid.num_active, len(configs)), dtype=np.int64, order="F")
     for j, (pose, model) in enumerate(zip(configs, models)):
         labels[:, j] = _digit_column(pose, model, grid)
     return labels
@@ -180,8 +187,8 @@ def _pack_rows(labels: np.ndarray) -> np.ndarray:
 def _padded(values: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Active-voxel ``values`` on the grid grown by one ``-1`` layer at the high end of each axis.
 
-    Returns the flat array, laid out x-major, then z, with y contiguous, and
-    its per-axis strides ``((ny+1)(nz+1), 1, ny+1)``.  Every voxel's
+    Returns the flat array in the layout of :attr:`VoxelGrid.padded_cells`
+    and its per-axis strides ``((ny+1)(nz+1), 1, ny+1)``.  Every voxel's
     ``+x``/``+y``/``+z`` neighbour is the cell one stride further on; past
     the last voxel along an axis that cell is padding, so a step can never
     wrap onto the next row.  ``values`` must be non-negative and hold one
@@ -189,23 +196,74 @@ def _padded(values: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, tuple[int,
     """
     if np.shape(values) != (grid.num_active,):
         raise ValueError("per-voxel values must align with the grid's active voxels")
-    nx, ny, nz = grid.dims
-    strides = ((ny + 1) * (nz + 1), 1, ny + 1)
-    padded = np.full((nx + 1) * strides[0], -1, dtype=np.int64)
-    padded[_cells(grid, strides)] = values
+    strides = grid.padded_strides
+    padded = np.full((grid.dims[0] + 1) * strides[0], -1, dtype=np.int64)
+    padded[grid.padded_cells] = values
     return padded, strides
 
 
-def _cells(grid: VoxelGrid, strides: tuple[int, int, int]) -> np.ndarray:
-    """Flat index of each active voxel in the layout of :func:`_padded`."""
-    index = grid.active_indices
-    return index[:, 0] * strides[0] + index[:, 1] * strides[1] + index[:, 2] * strides[2]
+class _Runs(NamedTuple):
+    """Maximal same-value y-runs of a padded array; see :func:`_runs`."""
+
+    run: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    pairs_x: np.ndarray
+    pairs_z: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
 
-def _face_pairs(flat: np.ndarray, stride: int) -> np.ndarray:
-    """Mask over ``flat[:-stride]``: the cell and the one ``stride`` on hold the same value >= 0."""
-    head = flat[:-stride]
-    return (head >= 0) & (head == flat[stride:])
+def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
+    """Maximal same-value y-runs of a padded array, their face pairs and the edges between them.
+
+    ``values`` is laid out as :func:`_padded` returns it, ``-1`` off the
+    active set.  A run is a maximal stretch of one value ``>= 0`` along y;
+    the padding cell ending each row ends its last run.  Returns each cell's
+    run index (``run``; a cell off the active set holds the preceding run's),
+    and per run its first cell (``start``), its cell count (``length``) and
+    its x and z face pairs (``pairs_x``/``pairs_z``: cells whose ``+x`` or
+    ``+z`` neighbour holds the same value).  A run of ``n`` cells has
+    ``n - 1`` y face pairs.  ``src``/``dst`` are the edges joining two runs
+    by a face pair, with a pair left out when its y predecessor pairs too
+    within the same run, as it joins the same two runs.
+    """
+    sx, _, sz = strides
+    same = values[1:] == values[:-1]
+    valid = values >= 0
+    starts = valid.copy()
+    starts[1:] &= ~same
+    run = np.cumsum(starts) - 1
+    start = np.flatnonzero(starts)
+    # The array ends in padding, so every run ends before it.
+    end = np.flatnonzero(valid[:-1] & ~same) + 1
+    counts, edges = [], []
+    for stride in (sx, sz):
+        pairs = valid[:-stride] & (values[:-stride] == values[stride:])
+        # Between one run's start and the next only that run's cells and
+        # cells off the active set lie, and the latter never pair.
+        counts.append(np.add.reduceat(pairs, start, dtype=np.int64))
+        pairs[1:] &= ~(pairs[:-1] & same[: pairs.size - 1])
+        cells = np.flatnonzero(pairs)
+        edges.append((run[cells], run[cells + stride]))
+    src, dst = np.concatenate(edges, axis=1)
+    return _Runs(run, start, end - start, *counts, src, dst)
+
+
+def _code_runs(labels: np.ndarray, grid: VoxelGrid) -> _Runs:
+    """The y-runs of the subspace codes in ``labels``, one row per active voxel."""
+    return _runs(*_padded(_pack_rows(labels), grid))
+
+
+def _run_components(r: _Runs) -> tuple[int, np.ndarray]:
+    """Connected components of the run graph: their count and each run's component."""
+    n_runs = r.start.size
+    # CSR rows by source run, in scipy's own dtypes so that it copies nothing.
+    indptr = np.zeros(n_runs + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r.src, minlength=n_runs), out=indptr[1:])
+    dst = r.dst[np.argsort(r.src, kind="stable")].astype(np.int32)
+    graph = sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(n_runs, n_runs))
+    return csgraph.connected_components(graph, directed=False)
 
 
 def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]:
@@ -218,42 +276,20 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     """
     if labels.ndim != 2:
         raise ValueError("labels must be a matrix with one row per active voxel")
-    codes, (sx, _, sz) = _padded(_pack_rows(labels), grid)
-
-    # Nodes are maximal same-code runs along y; the padding cell ending each
-    # row ends its last run.
-    same = codes[1:] == codes[:-1]
-    starts = codes >= 0
-    starts[1:] &= ~same
-    run = np.cumsum(starts) - 1
-
-    # Edges join runs by x and z face pairs.  A pair is skipped when its y
-    # predecessor pairs too within the same run, as it joins the same runs.
-    edges = []
-    for stride in (sx, sz):
-        pairs = _face_pairs(codes, stride)
-        pairs[1:] &= ~(pairs[:-1] & same[: pairs.size - 1])
-        cells = np.flatnonzero(pairs)
-        edges.append((run[cells], run[cells + stride]))
-    src, dst = np.concatenate(edges, axis=1)
-    # CSR rows by source run, in scipy's own dtypes so that it copies nothing.
-    n_runs = int(run[-1]) + 1
-    indptr = np.zeros(n_runs + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=n_runs), out=indptr[1:])
-    dst = dst[np.argsort(src, kind="stable")].astype(np.int32)
-    graph = sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(n_runs, n_runs))
-    count, run_comp = csgraph.connected_components(graph, directed=False)
+    r = _code_runs(labels, grid)
+    count, run_comp = _run_components(r)
 
     # A run's first voxel in C order is its start: rank each component by
     # the C-order index of its earliest run start.
     nx, ny, nz = grid.dims
-    i, rest = np.divmod(np.flatnonzero(starts), sx)
+    sx, _, sz = grid.padded_strides
+    i, rest = np.divmod(r.start, sx)
     k, j = np.divmod(rest, sz)
     first = np.full(count, nx * ny * nz)
     np.minimum.at(first, run_comp, (i * ny + j) * nz + k)
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(count)
-    return rank[run_comp][run[_cells(grid, (sx, 1, sz))]], count
+    return rank[run_comp][r.run[grid.padded_cells]], count
 
 
 def segment(
@@ -261,13 +297,7 @@ def segment(
     models: Sequence[LidarModel],
     grid: VoxelGrid,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both levels for one configuration: per-voxel codes, component ids, and the count.
-
-    Raises ``ValueError`` when the grid has no active voxel, since there is
-    then no subspace to score or occupy.
-    """
-    if grid.num_active == 0:
-        raise ValueError("ROI has no active voxels; nothing to segment")
+    """Both levels for one configuration: per-voxel codes, component ids, and the count."""
     labels = first_level_labels(configs, models, grid)
     comp, count = component_ids(labels, grid)
     return labels, comp, count

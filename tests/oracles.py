@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written the slow, obvious way (pure Python
-scalars, dictionaries, and recursion) and never calls into the production
-code paths it verifies.
+scalars, dictionaries, recursion, or numpy over every voxel of a grid) and
+never calls into the production code paths it verifies.
 """
 
 from __future__ import annotations
@@ -163,6 +163,25 @@ def assert_valid_partition(grid, labels, comp, count):
     vol_sum = sum(float(v) for v in vol)
     expected = grid.num_active * grid.voxel_volume
     assert abs(vol_sum - expected) <= 1e-9 * expected, "subspace volumes must sum to the ROI volume"
+
+
+def voxel_grid_ref(dims, resolution, boxes=()):
+    """``(active, active_indices, active_centers)`` from every voxel's index triple and center.
+
+    ``boxes`` holds ``(lo, hi)`` corner pairs; a voxel is inactive when its
+    center lies in a closed box.
+    """
+    import numpy as np
+
+    res = np.asarray(resolution, dtype=float)
+    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in dims), indexing="ij")
+    indices = np.stack([ii, jj, kk], axis=-1).astype(np.int64)
+    centers = (indices + 0.5) * res
+    active = np.ones(tuple(dims), dtype=bool)
+    for lo, hi in boxes:
+        active &= ~np.all((centers >= np.asarray(lo)) & (centers <= np.asarray(hi)), axis=-1)
+    active_indices = np.argwhere(active).astype(np.int64)
+    return active, active_indices, (active_indices + 0.5) * res
 
 
 def occupied_subspaces_ref(centers, comp, lo, hi):

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -216,6 +217,28 @@ class TestOdr:
         scatter = (out / "vsr_odr.csv").read_text().strip().splitlines()
         assert scatter[0] == "max_vsr,odr"
         assert len(scatter) == 5
+
+    def test_scatter_seeds_are_built_per_sample(self, tiny_scenario, tmp_path, monkeypatch):
+        # A million samples must not spawn a million seeds before the first
+        # one: the first sample is reached with little memory allocated.
+        class FirstSample(Exception):
+            pass
+
+        def first_sample(*args):
+            raise FirstSample
+
+        monkeypatch.setattr(lp.cost, "max_vsr", first_sample)
+        poses = tmp_path / "poses.json"
+        poses.write_text(json.dumps([{"position": [4.0, 4.0, 3.0]}]), encoding="utf-8")
+        argv = ["odr", "--scenario", str(tiny_scenario), "--poses", str(poses), "--scatter", "1000000"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstSample):
+                main([*argv, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_threshold_extremes(self, tmp_path):
         for threshold, expected in ((0, 1.0), (10_000, 0.0)):

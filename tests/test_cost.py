@@ -1,15 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lidarplace as lp
 from grids import blob_grid, blob_metrics, single_component_metrics
+from lidarplace import segmentation
 from oracles import (
     assert_valid_partition,
     brute_force_max_vsr,
     component_vsr,
     exposed_face_area,
+    flood_fill_components,
 )
 
 RES = np.array([1.0, 0.5, 0.2])
@@ -220,6 +225,138 @@ class TestMaxVsr:
         for rec in report.subspaces:
             assert rec.vsr > 0
             assert rec.inscribed_radius_estimate == 3.0 * rec.vsr
+
+
+@st.composite
+def grids(draw):
+    """A small grid: plain, with an excluded box (faces on centers or between them), or a blob."""
+    dims = [draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 5))]
+    res = [draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 1.7])) for _ in range(3)]
+    kind = draw(st.sampled_from(["plain", "excluded", "blob"]))
+    if kind == "blob":
+        cells = draw(
+            st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), min_size=1, max_size=60)
+        )
+        return blob_grid(cells, res)
+    boxes = ()
+    if kind == "excluded":
+        a = [draw(st.integers(0, d - 1)) for d in dims]
+        b = [draw(st.integers(0, d - 1)) for d in dims]
+        shift = draw(st.sampled_from([0.5, 0.25]))
+        lo = [(min(i, j) + shift) * r for i, j, r in zip(a, b, res)]
+        hi = [(max(i, j) + 1 - shift) * r for i, j, r in zip(a, b, res)]
+        boxes = (lp.Box(minimum=lo, maximum=hi),)
+    extent = [d * r for d, r in zip(dims, res)]
+    grid = lp.build_voxel_grid(lp.RoiSpec(extent=extent, resolution=res, excluded_boxes=boxes))
+    if grid.num_active == 0:
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=extent, resolution=res))
+    return grid
+
+
+@st.composite
+def partitioned_grids(draw):
+    """A grid and dense ids for its active voxels; one id's voxels need not touch."""
+    grid = draw(grids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ids = rng.integers(0, draw(st.integers(1, 6)), grid.num_active)
+    else:
+        # blocks of one id, so that runs are long
+        size = [draw(st.integers(1, 4)) for _ in range(3)]
+        ids = (grid.active_indices // size).sum(axis=1) % draw(st.integers(1, 3))
+    _, comp = np.unique(ids, return_inverse=True)
+    return grid, comp.astype(np.int64), int(comp.max()) + 1
+
+
+def runs_ref(grid, values):
+    """Maximal same-value y-runs by walking every row, each as its list of index triples."""
+    at = {tuple(index): v for index, v in zip(grid.active_indices.tolist(), values.tolist())}
+    nx, ny, nz = grid.dims
+    runs = []
+    for i in range(nx):
+        for k in range(nz):
+            for j in range(ny):
+                cell = (i, j, k)
+                if cell not in at:
+                    continue
+                if j > 0 and at.get((i, j - 1, k)) == at[cell]:
+                    runs[-1].append(cell)
+                else:
+                    runs.append([cell])
+    return at, runs
+
+
+class TestRunMetrics:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(case=partitioned_grids())
+    def test_runs_match_a_row_walk(self, case):
+        grid, comp, _ = case
+        values, strides = segmentation._padded(comp, grid)
+        r = segmentation._runs(values, strides)
+        at, expected = runs_ref(grid, comp)
+        run_of = {cell: n for n, cells in enumerate(expected) for cell in cells}
+        sx, sy, sz = strides
+        assert r.start.tolist() == [i * sx + j * sy + k * sz for i, j, k in (c[0] for c in expected)]
+        assert r.length.tolist() == [len(cells) for cells in expected]
+        for pairs, step in ((r.pairs_x, (1, 0, 0)), (r.pairs_z, (0, 0, 1))):
+            assert pairs.tolist() == [
+                sum(at.get((i + step[0], j, k + step[2])) == at[i, j, k] for i, j, k in cells)
+                for cells in expected
+            ]
+        assert r.run[grid.padded_cells].tolist() == [run_of[tuple(c)] for c in grid.active_indices.tolist()]
+        # one edge per pair of runs joined by an x or z face pair
+        edges = {
+            (run_of[cell], run_of[other])
+            for cell in at
+            for other in ((cell[0] + 1, cell[1], cell[2]), (cell[0], cell[1], cell[2] + 1))
+            if at.get(other) == at[cell]
+        }
+        got = list(zip(r.src.tolist(), r.dst.tolist()))
+        assert sorted(got) == sorted(edges)
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(case=partitioned_grids())
+    def test_component_metrics_match_the_face_oracle(self, case):
+        grid, comp, count = case
+        sizes, vol, sa, vsr = lp.component_metrics(comp, count, grid)
+        ex, ey, ez = grid.resolution.tolist()
+        for c in range(count):
+            cells = [tuple(index) for index in grid.active_indices[comp == c].tolist()]
+            assert sizes[c] == len(cells)
+            assert vol[c] == ex * ey * ez * len(cells)
+            assert sa[c] == exposed_face_area(cells, grid.resolution)
+            assert vsr[c] == component_vsr(cells, grid.resolution)
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_max_vsr_matches_the_oracle_on_random_codes(self, data):
+        grid = data.draw(grids())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        width = data.draw(st.integers(1, 3))
+        labels = rng.integers(0, data.draw(st.integers(1, 3)), (grid.num_active, width))
+        if data.draw(st.booleans()):
+            # digits too wide for mixed-radix packing: the row-identity fallback
+            labels = np.concatenate([labels * 2**40, labels[:, :1]], axis=1)
+        cells = {
+            tuple(index): tuple(code)
+            for index, code in zip(grid.active_indices.tolist(), labels.tolist())
+        }
+        expected = max(component_vsr(c, grid.resolution) for c in flood_fill_components(cells))
+        pose, model = lp.PoseConfig(position=[0, 0, 0]), lp.LidarModel(beam_pitches=[0.0])
+        with mock.patch.object(segmentation, "first_level_labels", lambda *args: labels):
+            assert lp.max_vsr([pose], [model], grid) == expected
+
+    def test_max_vsr_labels_once(self):
+        # The benchmark stamps the end of set-up on the first labelling call
+        # and counts pose repeats per labelling; one objective call labels once.
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1]))
+        model = lp.LidarModel(beam_pitches=[-0.2, 0.2])
+        poses = [lp.PoseConfig(position=[4.0, 4.0, 3.0], pitch=0.1)]
+        counted = mock.Mock(wraps=segmentation.first_level_labels)
+        with mock.patch.object(segmentation, "first_level_labels", counted):
+            value = lp.max_vsr(poses, [model], grid)
+        assert counted.call_count == 1
+        assert value == lp.evaluate_placement(poses, [model], grid).objective
 
 
 class TestDecisionVector:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lidarplace as lp
 from lidarplace.geometry import MAX_VOXELS, GridTooLargeError
-from oracles import world_to_lidar_ref
+from oracles import voxel_grid_ref, world_to_lidar_ref
 
 
 def random_pose(rng):
@@ -186,9 +188,58 @@ class TestVoxelGrid:
         assert np.all(idx >= 0) and np.all(idx < np.array(grid.dims))
         assert np.array_equal(grid.voxel_index_of(grid.active_centers), grid.active_indices)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_per_voxel_builder(self, data):
+        dims = [data.draw(st.integers(1, 7)) for _ in range(3)]
+        res = [data.draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 1.7])) for _ in range(3)]
+        extent = [d * r for d, r in zip(dims, res)]
+        boxes = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            # faces on centers, between centers, or on the ROI faces
+            faces = [
+                sorted(
+                    data.draw(
+                        st.sampled_from([(i + 0.5) * r for i in range(n)] + [0.0, e])
+                        | st.floats(0.0, e)
+                    )
+                    for _ in range(2)
+                )
+                for n, r, e in zip(dims, res, extent)
+            ]
+            boxes.append(([f[0] for f in faces], [f[1] for f in faces]))
+        roi = lp.RoiSpec(
+            extent=extent,
+            resolution=res,
+            excluded_boxes=tuple(lp.Box(minimum=lo, maximum=hi) for lo, hi in boxes),
+        )
+        grid = lp.build_voxel_grid(roi)
+        # the written extent may differ from dims * resolution in the last bit
+        ref = voxel_grid_ref(roi.grid_dims, res, [(b.minimum, b.maximum) for b in roi.excluded_boxes])
+        for got, want in zip((grid.active, grid.active_indices, grid.active_centers), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert grid.active_centers.flags.f_contiguous
+        sx, sy, sz = grid.padded_strides
+        index = grid.active_indices
+        assert np.array_equal(grid.padded_cells, index[:, 0] * sx + index[:, 1] * sy + index[:, 2] * sz)
+
+    def test_box_faces_on_centers_exclude_those_centers(self):
+        roi = lp.RoiSpec(
+            extent=[0.9, 0.9, 0.9],
+            resolution=[0.3, 0.3, 0.3],
+            excluded_boxes=(lp.Box(minimum=[0.15, 0.15, 0.15], maximum=[0.45, 0.45, 0.45]),),
+        )
+        grid = lp.build_voxel_grid(roi)
+        ref = voxel_grid_ref((3, 3, 3), [0.3, 0.3, 0.3], [([0.15] * 3, [0.45] * 3)])
+        assert not grid.active[:2, :2, :2].any() and grid.num_active == 27 - 8
+        for got, want in zip((grid.active, grid.active_indices, grid.active_centers), ref):
+            assert np.array_equal(got, want)
+
     def test_centers_and_masks_are_read_only(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[2, 2, 2], resolution=[1, 1, 1]))
-        for arr in (grid.active, grid.active_indices, grid.active_centers, grid.resolution):
+        for arr in (
+            grid.active, grid.active_indices, grid.active_centers, grid.resolution, grid.padded_cells
+        ):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
