@@ -32,7 +32,7 @@ from .geometry import (
     rotation_matrix,
     world_to_lidar,
 )
-from .odr import ObjectSpec, OdrReport, OdrSettings, count_occupied_subspaces, estimate_odr
+from .odr import ObjectSpec, OdrReport, OdrSettings, estimate_odr
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -72,7 +72,6 @@ __all__ = [
     "canonical_dict",
     "component_ids",
     "component_metrics",
-    "count_occupied_subspaces",
     "decision_bounds",
     "estimate_odr",
     "evaluate_placement",

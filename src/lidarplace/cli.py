@@ -169,14 +169,18 @@ def _print_pose_table(poses) -> None:
 
 def _load_effective_scenario(args) -> Scenario:
     path = Path(args.scenario)
-    if not path.exists():
+    if not path.is_file():
         raise CliError("SCENARIO_MISSING", f"scenario file not found: {path}", EXIT_MISSING)
     return with_seed(load_scenario(path), args.seed)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot create output directory {out}: {exc.strerror}"
+        raise CliError("OUT_INVALID", message, EXIT_USAGE) from exc
     return out
 
 
@@ -190,7 +194,7 @@ def _read_json(path: Path, code: str):
 
 def _load_poses_file(path_str: str) -> tuple[PoseConfig, ...]:
     path = Path(path_str)
-    if not path.exists():
+    if not path.is_file():
         raise CliError("POSES_MISSING", f"poses file not found: {path}", EXIT_MISSING)
     data = _read_json(path, "POSES_INVALID")
     if not isinstance(data, list) or not data:
@@ -341,7 +345,7 @@ def cmd_sweep(args) -> int:
 
 def _poses_from_record(path_str: str) -> tuple[tuple[PoseConfig, ...], dict]:
     path = Path(path_str)
-    if not path.exists():
+    if not path.is_file():
         raise CliError("RECORD_MISSING", f"run record not found: {path}", EXIT_MISSING)
     record = _read_json(path, "RECORD_INVALID")
     if (

@@ -115,7 +115,7 @@ def max_vsr(
     :func:`evaluate_placement` for the per-subspace table.
     """
     r = _code_runs(segmentation.first_level_labels(configs, models, grid), grid)
-    count, run_comp = _run_components(r)
+    count, run_comp = _run_components(r.start.size, r.src, r.dst)
     return float(_metrics(run_comp, count, r, grid)[3].max())
 
 

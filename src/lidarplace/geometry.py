@@ -76,8 +76,9 @@ def as_vec3(values) -> np.ndarray:
 class Box:
     """Axis-aligned box given by its min and max corners (meters).
 
-    Containment is tested with closed intervals: points exactly on a face
-    count as inside.
+    Wherever a box is tested for containment (excluded voxels, ODR
+    occupancy), the intervals are closed: points exactly on a face count as
+    inside.
     """
 
     minimum: np.ndarray
@@ -88,11 +89,6 @@ class Box:
         object.__setattr__(self, "maximum", as_vec3(self.maximum))
         if np.any(self.minimum > self.maximum):
             raise ValueError("box minimum must not exceed maximum componentwise")
-
-    def contains(self, points) -> np.ndarray:
-        """Boolean containment test for one point ``(3,)`` or many ``(n, 3)``."""
-        p = np.asarray(points, dtype=float)
-        return np.all((p >= self.minimum) & (p <= self.maximum), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,6 @@ __all__ = [
     "ObjectSpec",
     "OdrSettings",
     "OdrReport",
-    "count_occupied_subspaces",
     "estimate_odr",
 ]
 
@@ -147,16 +146,6 @@ def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.n
         # -1 sorts first, so every change along a sorted row steps onto an id >= 0.
         counts[rows] = (cells[:, 0] >= 0) + np.count_nonzero(cells[:, 1:] != cells[:, :-1], axis=1)
     return counts
-
-
-def count_occupied_subspaces(box: Box, component_ids_per_voxel, grid: VoxelGrid) -> int:
-    """Number of distinct subspaces whose voxel centers lie inside ``box``.
-
-    ``component_ids_per_voxel`` is the second-level component id of each
-    active voxel, aligned with ``grid.active_centers``.
-    """
-    counts = _occupied_counts(component_ids_per_voxel, grid, box.minimum[None], box.maximum[None])
-    return int(counts[0])
 
 
 def estimate_odr(

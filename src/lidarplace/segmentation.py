@@ -18,9 +18,9 @@ static object strictly inside it intersects no beam cone.  Values are laid
 on the grid's padded layout (``VoxelGrid.padded_cells``, built once per
 grid), and one run helper contracts each maximal same-value run along y
 into one node, counts its length and its same-value face pairs along x and
-z, and joins runs by those face pairs.  Component ids are ordered by each
-component's first voxel in C order; the objective (``cost.max_vsr``) needs
-no ids and scores components from their runs' counts.
+z, and joins runs by those face pairs; the run graph's components are
+labelled by hook and jump.  Component ids follow each component's first
+voxel in C order; the objective (``cost.max_vsr``) needs no ids.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from collections import OrderedDict
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .geometry import LidarModel, PoseConfig, VoxelGrid, world_to_lidar
 
@@ -205,7 +203,6 @@ def _padded(values: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, tuple[int,
 class _Runs(NamedTuple):
     """Maximal same-value y-runs of a padded array; see :func:`_runs`."""
 
-    run: np.ndarray
     start: np.ndarray
     length: np.ndarray
     pairs_x: np.ndarray
@@ -219,21 +216,20 @@ def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
 
     ``values`` is laid out as :func:`_padded` returns it, ``-1`` off the
     active set.  A run is a maximal stretch of one value ``>= 0`` along y;
-    the padding cell ending each row ends its last run.  Returns each cell's
-    run index (``run``; a cell off the active set holds the preceding run's),
-    and per run its first cell (``start``), its cell count (``length``) and
-    its x and z face pairs (``pairs_x``/``pairs_z``: cells whose ``+x`` or
-    ``+z`` neighbour holds the same value).  A run of ``n`` cells has
-    ``n - 1`` y face pairs.  ``src``/``dst`` are the edges joining two runs
-    by a face pair, with a pair left out when its y predecessor pairs too
-    within the same run, as it joins the same two runs.
+    the padding cell ending each row ends its last run.  Returns per run its
+    first cell (``start``; an active cell's run is the last one starting at
+    or before it), its cell count (``length``) and its x and z face pairs
+    (``pairs_x``/``pairs_z``: cells whose ``+x`` or ``+z`` neighbour holds
+    the same value).  A run of ``n`` cells has ``n - 1`` y face pairs.
+    ``src``/``dst`` are the edges joining two runs by a face pair, with a
+    pair left out when its y predecessor pairs too within the same run, as
+    it joins the same two runs.
     """
     sx, _, sz = strides
     same = values[1:] == values[:-1]
     valid = values >= 0
     starts = valid.copy()
     starts[1:] &= ~same
-    run = np.cumsum(starts) - 1
     start = np.flatnonzero(starts)
     # The array ends in padding, so every run ends before it.
     end = np.flatnonzero(valid[:-1] & ~same) + 1
@@ -245,9 +241,9 @@ def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
         counts.append(np.add.reduceat(pairs, start, dtype=np.int64))
         pairs[1:] &= ~(pairs[:-1] & same[: pairs.size - 1])
         cells = np.flatnonzero(pairs)
-        edges.append((run[cells], run[cells + stride]))
+        edges.append(np.searchsorted(start, (cells, cells + stride), side="right") - 1)
     src, dst = np.concatenate(edges, axis=1)
-    return _Runs(run, start, end - start, *counts, src, dst)
+    return _Runs(start, end - start, *counts, src, dst)
 
 
 def _code_runs(labels: np.ndarray, grid: VoxelGrid) -> _Runs:
@@ -255,15 +251,26 @@ def _code_runs(labels: np.ndarray, grid: VoxelGrid) -> _Runs:
     return _runs(*_padded(_pack_rows(labels), grid))
 
 
-def _run_components(r: _Runs) -> tuple[int, np.ndarray]:
-    """Connected components of the run graph: their count and each run's component."""
-    n_runs = r.start.size
-    # CSR rows by source run, in scipy's own dtypes so that it copies nothing.
-    indptr = np.zeros(n_runs + 1, dtype=np.int32)
-    np.cumsum(np.bincount(r.src, minlength=n_runs), out=indptr[1:])
-    dst = r.dst[np.argsort(r.src, kind="stable")].astype(np.int32)
-    graph = sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(n_runs, n_runs))
-    return csgraph.connected_components(graph, directed=False)
+def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on ``n`` nodes with edges ``src[e]``-``dst[e]``.
+
+    Returns their count and each node's component, numbered in the order of
+    each component's smallest node.  Each round hooks the larger root of
+    every edge joining two roots onto the smaller one, then points every
+    node at its root; edges inside one root stay inside it and are dropped.
+    """
+    parent = np.arange(n)
+    while True:
+        a, b = parent[src], parent[dst]
+        cross = a != b
+        if not cross.any():
+            break
+        src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(parent, jumped := parent[parent]):
+            parent = jumped
+    number = np.cumsum(parent == np.arange(n)) - 1
+    return int(number[-1]) + 1, number[parent]
 
 
 def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]:
@@ -277,7 +284,7 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     if labels.ndim != 2:
         raise ValueError("labels must be a matrix with one row per active voxel")
     r = _code_runs(labels, grid)
-    count, run_comp = _run_components(r)
+    count, run_comp = _run_components(r.start.size, r.src, r.dst)
 
     # A run's first voxel in C order is its start: rank each component by
     # the C-order index of its earliest run start.
@@ -289,7 +296,8 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     np.minimum.at(first, run_comp, (i * ny + j) * nz + k)
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(count)
-    return rank[run_comp][r.run[grid.padded_cells]], count
+    voxel_run = np.searchsorted(r.start, grid.padded_cells, side="right") - 1
+    return rank[run_comp][voxel_run], count
 
 
 def segment(

@@ -184,6 +184,24 @@ def voxel_grid_ref(dims, resolution, boxes=()):
     return active, active_indices, (active_indices + 0.5) * res
 
 
+def run_components_ref(n, src, dst):
+    """scipy's connected components of the undirected graph on ``n`` nodes with edges ``src[e]``-``dst[e]``.
+
+    Returns the component count and each node's component, as
+    ``scipy.sparse.csgraph.connected_components`` numbers them.
+    """
+    import numpy as np
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    # CSR rows by source node, in scipy's own dtypes so that it copies nothing.
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    dst = dst[np.argsort(src, kind="stable")].astype(np.int32)
+    graph = sparse.csr_matrix((np.ones(dst.size), dst, indptr), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)
+
+
 def occupied_subspaces_ref(centers, comp, lo, hi):
     """Distinct ids among the centers inside the closed box ``[lo, hi]``, by scanning every center."""
     found = set()

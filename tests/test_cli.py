@@ -1,6 +1,9 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -413,20 +416,40 @@ class TestInputsCheckedBeforeOut:
             (["odr", "--record", "{missing}"], "RECORD_MISSING", 4),
             (["sweep", "--counts", ""], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", "ghost"], "MODEL_UNKNOWN", 3),
+            (["optimize", "--scenario", "{directory}"], "SCENARIO_MISSING", 4),
+            (["evaluate", "--poses", "{directory}"], "POSES_MISSING", 4),
+            (["odr", "--poses", "{directory}"], "POSES_MISSING", 4),
+            (["odr", "--record", "{directory}"], "RECORD_MISSING", 4),
         ],
         ids=[
             "evaluate-poses-missing", "evaluate-poses-not-a-list", "evaluate-pose-count",
             "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
             "odr-record-invalid", "odr-record-missing", "sweep-empty", "sweep-unknown-model",
+            "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
+            "odr-record-directory",
         ],
     )
     def test_bad_input_leaves_no_out_dir(self, inputs, tmp_path, capsys, argv, code, exit_code):
         out = tmp_path / "o"
+        inputs = dict(inputs, directory=str(tmp_path))
         argv = [arg.format(**inputs) for arg in argv]
-        assert main([*argv, "--scenario", inputs["scenario"], "--out", str(out)]) == exit_code
+        # a --scenario in argv comes later, so it wins over the default
+        argv = [argv[0], "--scenario", inputs["scenario"], *argv[1:]]
+        assert main([*argv, "--out", str(out)]) == exit_code
         err = capsys.readouterr().err
         assert f"error[{code}]" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_out_that_cannot_be_created_is_usage_error(self, inputs, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep", encoding="utf-8")
+        out = blocker / "o" if under else blocker
+        argv = ["evaluate", "--scenario", inputs["scenario"], "--poses", inputs["poses"]]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error[OUT_INVALID]" in err and "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "keep"
 
     @pytest.mark.parametrize(
         "argv",
@@ -564,6 +587,28 @@ class TestOneGridBuildPerCommand:
                     patches.enter_context(mock.patch.object(module, "build_voxel_grid", counted))
             assert main([*argv, "--out", str(tmp_path / "o")]) == 0
         assert counted.call_count == 1
+
+
+class TestRuntimeDependencies:
+    def test_a_command_loads_no_scipy(self, tiny_scenario, tmp_path):
+        # numpy is the one runtime dependency; scipy serves only the tests
+        poses = tmp_path / "poses.json"
+        poses.write_text(json.dumps([{"position": [4.0, 4.0, 3.0]}]), encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from lidarplace.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        argv = ["evaluate", "--scenario", str(tiny_scenario), "--poses", str(poses)]
+        src = str(Path(lp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _labelled(roi, poses, models):

@@ -303,7 +303,9 @@ class TestRunMetrics:
                 sum(at.get((i + step[0], j, k + step[2])) == at[i, j, k] for i, j, k in cells)
                 for cells in expected
             ]
-        assert r.run[grid.padded_cells].tolist() == [run_of[tuple(c)] for c in grid.active_indices.tolist()]
+        # each voxel's run is the last one starting at or before its cell
+        voxel_run = np.searchsorted(r.start, grid.padded_cells, side="right") - 1
+        assert voxel_run.tolist() == [run_of[tuple(c)] for c in grid.active_indices.tolist()]
         # one edge per pair of runs joined by an x or z face pair
         edges = {
             (run_of[cell], run_of[other])

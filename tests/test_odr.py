@@ -61,32 +61,42 @@ class TestObjectSpec:
             spec.corner_region([8, 8, 4])
 
 
+def occupied_counts(boxes, comp, grid):
+    """Batched occupancy counts of ``(lo, hi)`` boxes, as ``estimate_odr`` computes them."""
+    lo = np.array([b[0] for b in boxes], dtype=float)
+    hi = np.array([b[1] for b in boxes], dtype=float)
+    return odr._occupied_counts(comp, grid, lo, hi).tolist()
+
+
 class TestCountOccupiedSubspaces:
+    # Each batch mixes a one-voxel box with wider ones, so its short blocks
+    # are padded out to the widest.
+
     def test_box_inside_single_voxel(self):
         grid, comp, _ = labeled_grid()
         # strictly inside voxel (0, 0, 0), wrapped around its center
-        box = lp.Box(minimum=[0.3, 0.3, 0.3], maximum=[0.7, 0.7, 0.7])
-        assert lp.count_occupied_subspaces(box, comp, grid) == 1
+        inside = ([0.3, 0.3, 0.3], [0.7, 0.7, 0.7])
+        assert occupied_counts([inside, ([0, 0, 0], [3, 3, 3])], comp, grid)[0] == 1
 
     def test_box_covering_roi_sees_every_component(self):
         grid, comp, count = labeled_grid()
-        box = lp.Box(minimum=[0, 0, 0], maximum=[8, 8, 4])
-        assert lp.count_occupied_subspaces(box, comp, grid) == count
+        boxes = [([0.3, 0.3, 0.3], [0.7, 0.7, 0.7]), ([0, 0, 0], [8, 8, 4])]
+        assert occupied_counts(boxes, comp, grid)[1] == count
 
     def test_box_between_centers_sees_nothing(self):
         grid, comp, _ = labeled_grid()
-        box = lp.Box(minimum=[0.6, 0.6, 0.6], maximum=[0.9, 0.9, 0.9])
-        assert lp.count_occupied_subspaces(box, comp, grid) == 0
+        between = ([0.6, 0.6, 0.6], [0.9, 0.9, 0.9])
+        assert occupied_counts([between, ([0, 0, 0], [8, 8, 4])], comp, grid)[0] == 0
 
     def test_matches_containment_scan(self):
         grid, comp, _ = labeled_grid()
         rng = np.random.default_rng(51)
+        boxes = [([0.3, 0.3, 0.3], [0.7, 0.7, 0.7])]
         for _ in range(50):
             lo = rng.uniform(0, [6, 6, 2])
-            hi = lo + rng.uniform(0.5, 2.0, 3)
-            box = lp.Box(minimum=lo, maximum=hi)
-            expected = occupied_subspaces_ref(grid.active_centers, comp, lo, hi)
-            assert lp.count_occupied_subspaces(box, comp, grid) == expected
+            boxes.append((lo, lo + rng.uniform(0.5, 2.0, 3)))
+        expected = [occupied_subspaces_ref(grid.active_centers, comp, lo, hi) for lo, hi in boxes]
+        assert occupied_counts(boxes, comp, grid) == expected
 
 
 RESOLUTIONS = st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 1.7])
@@ -157,8 +167,6 @@ class TestBatchedOccupancy:
         for cells in (1, 7):
             with mock.patch.object(odr, "_GATHER_CELLS", cells):
                 assert odr._occupied_counts(comp, grid, lo, hi).tolist() == expected
-        for (a, b), count in zip(boxes, expected):
-            assert lp.count_occupied_subspaces(lp.Box(minimum=a, maximum=b), comp, grid) == count
 
 
 def estimate_odr_ref(configs, models, grid, obj, trials, threshold, rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from lidarplace import segmentation
-from oracles import assert_valid_partition, beam_digit_ref, flood_fill_components
+from oracles import assert_valid_partition, beam_digit_ref, flood_fill_components, run_components_ref
 
 TWO_BEAM = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
 
@@ -458,3 +458,63 @@ class TestRunContractedLabelling:
         labels = np.array([[4], [6], [5], [6], [5], [6]])
         comp, count = assert_matches_flood_fill(grid, labels)
         assert count == 3 and comp.tolist() == [0, 1, 2, 1, 2, 1]
+
+
+@st.composite
+def run_graphs(draw):
+    """A node count and an edge list in any order and direction.
+
+    Random edges (with duplicates, self-loops and isolated nodes), paths
+    numbered in order or at random, or a 2-D lattice with some edges left out.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "paths", "lattice"]))
+    if kind == "random":
+        n = draw(st.integers(1, 80))
+        # nodes at or past `linked` touch no edge
+        linked = draw(st.integers(1, n))
+        src, dst = rng.integers(0, linked, (2, draw(st.integers(0, 2 * n))))
+        repeat = rng.integers(0, max(src.size, 1), src.size // 3) if src.size else []
+        loops = rng.integers(0, n, draw(st.integers(0, 3)))
+        src = np.concatenate([src, src[repeat], loops])
+        dst = np.concatenate([dst, dst[repeat], loops])
+    elif kind == "paths":
+        n = draw(st.integers(1, 300))
+        order = rng.permutation(n) if draw(st.booleans()) else np.arange(n)
+        src, dst = order[:-1], order[1:]
+        # cut the path into a few pieces
+        keep = rng.random(src.size) >= draw(st.sampled_from([0.0, 0.02, 0.2]))
+        src, dst = src[keep], dst[keep]
+    else:
+        w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        n = w * h
+        node = np.arange(n).reshape(w, h)
+        src = np.concatenate([node[:-1].ravel(), node[:, :-1].ravel()])
+        dst = np.concatenate([node[1:].ravel(), node[:, 1:].ravel()])
+        keep = rng.random(src.size) >= draw(st.sampled_from([0.0, 0.3, 0.5]))
+        src, dst = src[keep], dst[keep]
+        if draw(st.booleans()):
+            number = rng.permutation(n)
+            src, dst = number[src], number[dst]
+    shuffle = rng.permutation(src.size)
+    flip = rng.random(src.size) < 0.5
+    src, dst = src[shuffle], dst[shuffle]
+    src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
+    return n, src.astype(np.int64), dst.astype(np.int64)
+
+
+class TestRunComponents:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=run_graphs())
+    def test_partition_matches_scipy(self, case):
+        n, src, dst = case
+        count, comp = segmentation._run_components(n, src, dst)
+        ref_count, ref = run_components_ref(n, src, dst)
+        assert count == ref_count
+        assert comp.shape == (n,)
+        # dense ids, each paired with exactly one scipy component and back
+        assert np.unique(comp).tolist() == list(range(count))
+        assert len(set(zip(comp.tolist(), ref.tolist()))) == count
+        # numbered in the order of each component's smallest node
+        _, smallest = np.unique(comp, return_index=True)
+        assert comp[np.sort(smallest)].tolist() == list(range(count))
