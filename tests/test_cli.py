@@ -610,6 +610,41 @@ class TestRuntimeDependencies:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not os.confstr("CS_GNU_LIBC_VERSION"),
+        reason="the allocator thresholds are set on glibc only",
+    )
+    def test_objective_calls_reuse_freed_pages(self):
+        # An av_rooftop evaluation frees a few MB of temporaries; faulting
+        # them back in on each call cost 600-1100 minor faults before the
+        # command fixed the allocator's thresholds, and ~50 after.
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "import lidarplace as lp\n"
+            "from lidarplace import cli, cost\n"
+            "cli._keep_freed_memory()\n"
+            "scenario = lp.load_scenario(sys.argv[1])\n"
+            "models, grid = scenario.model_sequence(), scenario.grid\n"
+            "lower, upper = cost.decision_bounds(scenario.bounds, len(models))\n"
+            "rng = np.random.default_rng(0)\n"
+            "configs = [cost.poses_from_vector(rng.uniform(lower, upper), len(models))\n"
+            "           for _ in range(7)]\n"
+            "cost.max_vsr(configs[0], models, grid)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for config in configs[1:]:\n"
+            "    cost.max_vsr(config, models, grid)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 6)\n"
+        )
+        src = str(Path(lp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(SCENARIO_DIR / "av_rooftop.json")],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.splitlines()[-1]) < 300
+
 
 def _labelled(roi, poses, models):
     grid = lp.build_voxel_grid(roi)
