@@ -18,11 +18,11 @@ import lidarplace as lp
 vlp16 = lp.LidarModel.evenly_spaced(16, math.radians(-15), math.radians(15))
 print(f"16-beam model, pitches {np.degrees(vlp16.beam_pitches).round(1)} deg")
 
-# Each beam sweeps a cone: its surface height grows linearly with radial
-# distance from the sensor axis.
+# Each beam sweeps a cone: its surface height tan(pitch) * r grows linearly
+# with radial distance r from the sensor axis.
 print("\ncone height of the steepest beam at increasing radius:")
 for radius in (1.0, 5.0, 10.0, 30.0):
-    z = lp.beam_surface_z(vlp16.beam_pitches[-1], radius, 0.0)
+    z = vlp16.beam_tangents[-1] * radius
     print(f"  r = {radius:5.1f} m -> z = {z:6.3f} m")
 
 # Poses combine a mounting position with yaw/pitch/roll.  The transform into

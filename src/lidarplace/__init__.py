@@ -23,10 +23,8 @@ from .geometry import (
     PoseBounds,
     PoseConfig,
     RoiSpec,
-    Vec3,
     VoxelGrid,
     as_vec3,
-    beam_surface_z,
     build_voxel_grid,
     lidar_to_world,
     rotation_matrix,
@@ -40,7 +38,6 @@ from .scenario import (
     load_scenario,
     parse_scenario,
     scenario_digest,
-    serialize_scenario,
     with_seed,
 )
 from .segmentation import beam_digits, component_ids, first_level_labels, segment
@@ -63,11 +60,9 @@ __all__ = [
     "ScenarioError",
     "SolveResult",
     "SubspaceRecord",
-    "Vec3",
     "VoxelGrid",
     "as_vec3",
     "beam_digits",
-    "beam_surface_z",
     "build_voxel_grid",
     "canonical_dict",
     "component_ids",
@@ -89,7 +84,6 @@ __all__ = [
     "roulette_many",
     "scenario_digest",
     "segment",
-    "serialize_scenario",
     "with_seed",
     "world_to_lidar",
 ]

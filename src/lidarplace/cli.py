@@ -19,6 +19,8 @@ code list.
 from __future__ import annotations
 
 import argparse
+import colorsys
+import contextlib
 import ctypes
 import json
 import os
@@ -39,6 +41,7 @@ from .scenario import (
     load_scenario,
     parse_pose,
     parse_scenario,
+    read_json,
     scenario_digest,
     with_seed,
 )
@@ -97,25 +100,35 @@ def _subspace_rows(report: cost.PlacementReport) -> list[dict]:
     ]
 
 
+@contextlib.contextmanager
+def _output(path: Path):
+    """Report an ``OSError`` while creating or writing ``path`` as ``OUT_INVALID``."""
+    try:
+        yield
+    except OSError as exc:
+        message = f"cannot write {exc.filename or path}: {exc.strerror or exc}"
+        raise CliError("OUT_INVALID", message, EXIT_USAGE) from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _output(path):
+        path.write_text(text, encoding="utf-8")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_convergence_csv(path: Path, history: np.ndarray) -> None:
     lines = ["iter,best,mean"]
     for i in range(history.shape[0]):
         lines.append(f"{i},{_fmt(history[i, 0])},{_fmt(history[i, 1])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _component_color(component: int) -> tuple[int, int, int]:
     """Deterministic, well-spread RGB for a component id (golden-angle hue)."""
-    h = (component * 0.6180339887498949) % 1.0
-    s, v = 0.65, 0.95
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-    rgb = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
+    rgb = colorsys.hsv_to_rgb((component * 0.6180339887498949) % 1.0, 0.65, 0.95)
     return tuple(int(round(255 * c)) for c in rgb)
 
 
@@ -127,12 +140,7 @@ def _write_voxel_export(out_dir: Path, grid, labels: np.ndarray, comp: np.ndarra
     # Each string is formatted once: a voxel's center coordinate on an axis
     # is that axis's coordinate at its index, and every voxel of a component
     # carries the component's code and color.
-    axes = []
-    for a in range(3):
-        coords = np.zeros(grid.dims[a])
-        coords[grid.active_indices[:, a]] = grid.active_centers[:, a]
-        axes.append([_fmt(c) for c in coords])
-    xs, ys, zs = axes
+    xs, ys, zs = ([_fmt(c) for c in axis] for axis in grid.axis_centers)
     member = np.zeros(int(comp.max(initial=-1)) + 1, dtype=np.int64)
     member[comp] = np.arange(n)
     codes = ["-".join(map(str, row)) for row in labels[member].tolist()]
@@ -150,7 +158,7 @@ def _write_voxel_export(out_dir: Path, grid, labels: np.ndarray, comp: np.ndarra
         "property uchar blue",
         "end_header",
     ]
-    with open(csv_path, "w", encoding="utf-8") as csv_file, open(
+    with _output(out_dir), open(csv_path, "w", encoding="utf-8") as csv_file, open(
         ply_path, "w", encoding="utf-8"
     ) as ply_file:
         csv_file.write("x,y,z,code,component\n")
@@ -184,27 +192,16 @@ def _load_effective_scenario(args) -> Scenario:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    try:
+    with _output(out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        message = f"cannot create output directory {out}: {exc.strerror}"
-        raise CliError("OUT_INVALID", message, EXIT_USAGE) from exc
     return out
-
-
-def _read_json(path: Path, code: str):
-    """Parsed JSON content of ``path``; unreadable text or JSON raises ``code``."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CliError(code, f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_poses_file(path_str: str) -> tuple[PoseConfig, ...]:
     path = Path(path_str)
     if not path.is_file():
         raise CliError("POSES_MISSING", f"poses file not found: {path}", EXIT_MISSING)
-    data = _read_json(path, "POSES_INVALID")
+    data = read_json(path, "POSES_INVALID")
     if not isinstance(data, list) or not data:
         raise CliError("POSES_INVALID", "poses file must hold a non-empty JSON list of poses")
     return tuple(parse_pose(entry, f"poses[{i}]") for i, entry in enumerate(data))
@@ -346,7 +343,7 @@ def cmd_sweep(args) -> int:
                     f"{v_a:.6f} at count {c_a} to {v_b:.6f} at count {c_b}",
                     file=sys.stderr,
                 )
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_text(out / "sweep.csv", "\n".join(rows) + "\n")
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -355,7 +352,7 @@ def _poses_from_record(path_str: str) -> tuple[tuple[PoseConfig, ...], dict]:
     path = Path(path_str)
     if not path.is_file():
         raise CliError("RECORD_MISSING", f"run record not found: {path}", EXIT_MISSING)
-    record = _read_json(path, "RECORD_INVALID")
+    record = read_json(path, "RECORD_INVALID")
     if (
         not isinstance(record, dict)
         or not isinstance(record.get("best_poses"), list)
@@ -416,7 +413,7 @@ def cmd_odr(args) -> int:
             sample_vsr = cost.max_vsr(sample_poses, models, grid)
             sample = estimate_odr(sample_poses, models, grid, settings, child_rng(s + 1))
             rows.append(f"{_fmt(sample_vsr)},{_fmt(sample.odr)}")
-        (out / "vsr_odr.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write_text(out / "vsr_odr.csv", "\n".join(rows) + "\n")
         payload["files"] = {"scatter": "vsr_odr.csv"}
         print(f"wrote {args.scatter}-point VSR/ODR scatter to {out / 'vsr_odr.csv'}")
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import segmentation
 from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
-from .segmentation import _code_runs, _padded, _run_components, _runs, segment
+from .segmentation import _code_runs, _run_components, _runs, segment
 
 __all__ = [
     "SubspaceRecord",
@@ -78,8 +78,8 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
     ``c``: its voxel count, volume in m^3, surface area in m^2, and
     volume-to-surface-area ratio in meters.
     """
-    values, strides = _padded(comp, grid)
-    r = _runs(values, strides)
+    values = grid.pad(comp)
+    r = _runs(values, grid.padded_strides)
     return _metrics(values[r.start], count, r, grid)
 
 
@@ -125,18 +125,14 @@ def evaluate_placement(
     """Per-subspace metrics table plus the max-VSR objective."""
     labels, comp, count = segment(configs, models, grid)
     sizes, vol, sa, ratios = component_metrics(comp, count, grid)
-    _, first_rows = np.unique(comp, return_index=True)
+    # Every voxel of a component carries its code, so any member will do.
+    member = np.empty(count, dtype=np.int64)
+    member[comp] = np.arange(comp.size)
     records = tuple(
-        SubspaceRecord(
-            component_id=cid,
-            code=tuple(int(d) for d in labels[first_rows[cid]]),
-            voxel_count=int(sizes[cid]),
-            volume=float(vol[cid]),
-            surface_area=float(sa[cid]),
-            vsr=float(ratios[cid]),
-            inscribed_radius_estimate=float(3.0 * ratios[cid]),
+        SubspaceRecord(cid, tuple(code), size, volume, area, ratio, 3.0 * ratio)
+        for cid, (code, size, volume, area, ratio) in enumerate(
+            zip(labels[member].tolist(), sizes.tolist(), vol.tolist(), sa.tolist(), ratios.tolist())
         )
-        for cid in range(count)
     )
     return PlacementReport(
         objective=float(ratios.max()), subspaces=records, labels=labels, component_ids=comp

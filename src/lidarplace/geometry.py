@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "Vec3",
     "as_vec3",
     "Box",
     "PoseConfig",
@@ -32,12 +31,8 @@ __all__ = [
     "rotation_matrix",
     "world_to_lidar",
     "lidar_to_world",
-    "beam_surface_z",
     "build_voxel_grid",
 ]
-
-# A 3-vector in meters, shape (3,) float64.
-Vec3 = np.ndarray
 
 _HALF_PI = math.pi / 2.0
 
@@ -236,18 +231,20 @@ class RoiSpec:
 
 @dataclass(frozen=True, eq=False)
 class VoxelGrid:
-    """The voxelized ROI.
+    """The voxelized ROI, built by :func:`build_voxel_grid`.
 
-    ``active`` marks voxels whose centers are outside every excluded box.
-    ``active_indices``/``active_centers`` list the active voxels in C order
-    (lexicographic by index triple); all per-voxel arrays elsewhere in the
-    package align with that ordering.  ``active_centers`` is stored
-    column-major, so each coordinate axis is one contiguous column.
+    ``axis_centers`` holds the center coordinate of every voxel layer along
+    x, y and z; every voxel center the package compares is one of these
+    floats.  ``active_indices``/``active_centers`` list the active voxels in
+    C order (lexicographic by index triple); all per-voxel arrays elsewhere
+    in the package align with that ordering.  ``active_centers`` is stored
+    column-major, so each coordinate axis is one contiguous column.  All
+    arrays are read-only.
     """
 
     dims: tuple[int, int, int]
     resolution: np.ndarray
-    active: np.ndarray
+    axis_centers: tuple[np.ndarray, np.ndarray, np.ndarray]
     active_indices: np.ndarray
     active_centers: np.ndarray
 
@@ -288,15 +285,19 @@ class VoxelGrid:
         cells.flags.writeable = False
         return cells
 
-    def voxel_index_of(self, points) -> np.ndarray:
-        """Index triple of the voxel containing each point.
+    def pad(self, values) -> np.ndarray:
+        """Active-voxel ``values`` on the padded layout, ``-1`` in every other cell.
 
-        Valid for points with ``0 <= p < extent``; a coordinate exactly at the
-        extent is clamped into the last voxel.
+        ``values`` must be non-negative integers, one per active voxel (else
+        ``ValueError``).  Every voxel's ``+x``/``+y``/``+z`` neighbour is the
+        cell one stride further on; past the last voxel along an axis that
+        cell is padding, so a step can never wrap onto the next row.
         """
-        p = np.asarray(points, dtype=float)
-        idx = np.floor(p / self.resolution).astype(np.int64)
-        return np.clip(idx, 0, np.asarray(self.dims) - 1)
+        if np.shape(values) != (self.num_active,):
+            raise ValueError("per-voxel values must align with the grid's active voxels")
+        padded = np.full((self.dims[0] + 1) * self.padded_strides[0], -1, dtype=np.int64)
+        padded[self.padded_cells] = values
+        return padded
 
 
 def rotation_matrix(pose: PoseConfig) -> np.ndarray:
@@ -351,20 +352,6 @@ def lidar_to_world(pose: PoseConfig, points_local) -> np.ndarray:
     return out
 
 
-def beam_surface_z(pitch: float, x, y):
-    """Height of a beam's cone surface above the sensor, at local (x, y).
-
-    Returns ``tan(pitch) * sqrt(x^2 + y^2)``; the value depends on (x, y) only
-    through the radial distance.  ``|pitch|`` must be below pi/2.
-    """
-    pitch = float(pitch)
-    if not math.isfinite(pitch) or abs(pitch) >= _HALF_PI:
-        raise ValueError("pitch must lie strictly inside (-pi/2, +pi/2)")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    return math.tan(pitch) * np.sqrt(xa * xa + ya * ya)
-
-
 def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
     """Voxelize the ROI at its resolution.
 
@@ -373,12 +360,12 @@ def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
     counts as inside).  The extent/resolution pair was checked by
     :class:`RoiSpec`; a grid may have no active voxel at all.
     """
-    nx, ny, nz = roi.grid_dims
-    res = roi.resolution
-    # Each axis's center coordinates; a box holds the centers whose every
-    # coordinate lies in its closed interval on that axis.
-    axes = [(np.arange(n) + 0.5) * res[a] for a, n in enumerate((nx, ny, nz))]
-    active = np.ones((nx, ny, nz), dtype=bool)
+    dims = roi.grid_dims
+    res = _frozen(roi.resolution)
+    axes = tuple(_frozen((np.arange(n) + 0.5) * res[a]) for a, n in enumerate(dims))
+    # A box holds the centers whose every coordinate lies in its closed
+    # interval on that axis.
+    active = np.ones(dims, dtype=bool)
     for box in roi.excluded_boxes:
         x, y, z = ((c >= box.minimum[a]) & (c <= box.maximum[a]) for a, c in enumerate(axes))
         active &= ~(x[:, None, None] & y[None, :, None] & z[None, None, :])
@@ -386,13 +373,12 @@ def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
     active_centers = np.empty(active_indices.shape, order="F")
     for a, c in enumerate(axes):
         active_centers[:, a] = c[active_indices[:, a]]
-    active.flags.writeable = False
     active_indices.flags.writeable = False
     active_centers.flags.writeable = False
     return VoxelGrid(
-        dims=(nx, ny, nz),
-        resolution=_frozen(res),
-        active=active,
+        dims=dims,
+        resolution=res,
+        axis_centers=axes,
         active_indices=active_indices,
         active_centers=active_centers,
     )

@@ -14,9 +14,10 @@ voxel spacing can therefore fall between centers and go undetected.
 All trials are counted in one batched pass.  The grid is regular, so the
 centers inside a box ``[lo, hi]`` form an index block: per axis, from the
 first center ``>= lo`` to the last center ``<= hi``, found by binary search
-in the same center coordinates the grid was built from.  Each box's block is
-gathered from the component ids laid on the grid (``-1`` where no active
-voxel is) and its distinct ids are counted after a row-wise sort.
+in the grid's own center coordinates (``VoxelGrid.axis_centers``).  Each
+box's block is gathered from the component ids laid on the grid (``-1``
+where no active voxel is) and its distinct ids are counted after a row-wise
+sort.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseConfig, VoxelGrid, as_vec3
-from .segmentation import _padded, segment
+from .segmentation import segment
 
 __all__ = [
     "ObjectSpec",
@@ -113,12 +114,10 @@ def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.n
     ``lo`` and ``hi`` are ``(K, 3)``; returns ``K`` counts.  A center ``c``
     is inside when ``lo <= c <= hi`` on every axis.
     """
-    ids, strides = _padded(comp, grid)
+    ids, strides = grid.pad(comp), grid.padded_strides
     first = np.empty(lo.shape, dtype=np.int64)
     size = np.empty(lo.shape, dtype=np.int64)
-    for a, n in enumerate(grid.dims):
-        # The grid's own center coordinates, so searchsorted compares the same floats.
-        axis = (np.arange(n) + 0.5) * grid.resolution[a]
+    for a, axis in enumerate(grid.axis_centers):
         first[:, a] = np.searchsorted(axis, lo[:, a], side="left")
         size[:, a] = np.searchsorted(axis, hi[:, a], side="right") - first[:, a]
     np.maximum(size, 0, out=size)

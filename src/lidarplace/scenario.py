@@ -40,9 +40,9 @@ __all__ = [
     "parse_angle",
     "parse_pose",
     "parse_scenario",
+    "read_json",
     "load_scenario",
     "canonical_dict",
-    "serialize_scenario",
     "scenario_digest",
     "with_seed",
 ]
@@ -281,14 +281,21 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
+def read_json(path, code: str):
+    """Parsed content of the JSON file at ``path``.
+
+    Text that is not UTF-8, not JSON, or nested too deeply to parse raises
+    :class:`ScenarioError` with ``code``, the code of the file's role.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(code, f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Parse a scenario JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError("SCHEMA_INVALID", f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(data)
+    return parse_scenario(read_json(path, "SCHEMA_INVALID"))
 
 
 def _floats(values) -> list[float]:
@@ -340,11 +347,6 @@ def canonical_dict(scenario: Scenario) -> dict:
             "max": _floats(region.maximum),
         }
     return out
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Pretty canonical JSON text for the scenario."""
-    return json.dumps(canonical_dict(scenario), sort_keys=True, indent=2) + "\n"
 
 
 def scenario_digest(scenario: Scenario) -> str:

@@ -15,12 +15,12 @@ recomputes only that sensor's column.
 Second level: voxels sharing a code are split into maximal face-connected
 (6-connected) components.  Each component is one non-detectable subspace: a
 static object strictly inside it intersects no beam cone.  Values are laid
-on the grid's padded layout (``VoxelGrid.padded_cells``, built once per
-grid), and one run helper contracts each maximal same-value run along y
-into one node, counts its length and its same-value face pairs along x and
-z, and joins runs by those face pairs; the run graph's components are
-labelled by hook and jump.  Component ids follow each component's first
-voxel in C order; the objective (``cost.max_vsr``) needs no ids.
+on the grid's padded layout (``VoxelGrid.pad``), and one run helper
+contracts each maximal same-value run along y into one node, counts its
+length and its same-value face pairs along x and z, and joins runs by those
+face pairs; the run graph's components are labelled by hook and jump.
+Component ids follow each component's first voxel in C order; the objective
+(``cost.max_vsr``) needs no ids.
 """
 
 from __future__ import annotations
@@ -182,24 +182,6 @@ def _pack_rows(labels: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _padded(values: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """Active-voxel ``values`` on the grid grown by one ``-1`` layer at the high end of each axis.
-
-    Returns the flat array in the layout of :attr:`VoxelGrid.padded_cells`
-    and its per-axis strides ``((ny+1)(nz+1), 1, ny+1)``.  Every voxel's
-    ``+x``/``+y``/``+z`` neighbour is the cell one stride further on; past
-    the last voxel along an axis that cell is padding, so a step can never
-    wrap onto the next row.  ``values`` must be non-negative and hold one
-    entry per active voxel.
-    """
-    if np.shape(values) != (grid.num_active,):
-        raise ValueError("per-voxel values must align with the grid's active voxels")
-    strides = grid.padded_strides
-    padded = np.full((grid.dims[0] + 1) * strides[0], -1, dtype=np.int64)
-    padded[grid.padded_cells] = values
-    return padded, strides
-
-
 class _Runs(NamedTuple):
     """Maximal same-value y-runs of a padded array; see :func:`_runs`."""
 
@@ -214,8 +196,8 @@ class _Runs(NamedTuple):
 def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
     """Maximal same-value y-runs of a padded array, their face pairs and the edges between them.
 
-    ``values`` is laid out as :func:`_padded` returns it, ``-1`` off the
-    active set.  A run is a maximal stretch of one value ``>= 0`` along y;
+    ``values`` is laid out as :meth:`VoxelGrid.pad` returns it, ``-1`` off
+    the active set.  A run is a maximal stretch of one value ``>= 0`` along y;
     the padding cell ending each row ends its last run.  Returns per run its
     first cell (``start``; an active cell's run is the last one starting at
     or before it), its cell count (``length``) and its x and z face pairs
@@ -248,7 +230,7 @@ def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
 
 def _code_runs(labels: np.ndarray, grid: VoxelGrid) -> _Runs:
     """The y-runs of the subspace codes in ``labels``, one row per active voxel."""
-    return _runs(*_padded(_pack_rows(labels), grid))
+    return _runs(grid.pad(_pack_rows(labels)), grid.padded_strides)
 
 
 def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:

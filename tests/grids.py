@@ -2,25 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 import lidarplace as lp
 
 
 def blob_grid(cells, resolution) -> lp.VoxelGrid:
-    """Smallest grid holding ``cells`` (shifted to start at index 0), active exactly there."""
+    """Smallest grid holding ``cells`` (shifted to start at index 0), active exactly there.
+
+    The builder voxelizes the bounding box; the blob keeps its voxels.
+    """
     idx = np.asarray(cells, dtype=np.int64)
     idx = idx - idx.min(axis=0)
-    active = np.zeros(tuple(int(d) for d in idx.max(axis=0) + 1), dtype=bool)
-    active[tuple(idx.T)] = True
     res = np.asarray(resolution, dtype=float)
-    active_indices = np.argwhere(active).astype(np.int64)
-    return lp.VoxelGrid(
-        dims=active.shape,
-        resolution=res,
-        active=active,
-        active_indices=active_indices,
-        active_centers=(active_indices + 0.5) * res,
+    full = lp.build_voxel_grid(lp.RoiSpec(extent=(idx.max(axis=0) + 1) * res, resolution=res))
+    keep = np.zeros(full.dims, dtype=bool)
+    keep[tuple(idx.T)] = True
+    keep = keep.ravel()  # C order, as the full grid lists its voxels
+    return replace(
+        full,
+        active_indices=full.active_indices[keep],
+        active_centers=np.asfortranarray(full.active_centers[keep]),
     )
 
 

@@ -166,7 +166,7 @@ def assert_valid_partition(grid, labels, comp, count):
 
 
 def voxel_grid_ref(dims, resolution, boxes=()):
-    """``(active, active_indices, active_centers)`` from every voxel's index triple and center.
+    """``(active_indices, active_centers)`` from every voxel's index triple and center.
 
     ``boxes`` holds ``(lo, hi)`` corner pairs; a voxel is inactive when its
     center lies in a closed box.
@@ -181,7 +181,7 @@ def voxel_grid_ref(dims, resolution, boxes=()):
     for lo, hi in boxes:
         active &= ~np.all((centers >= np.asarray(lo)) & (centers <= np.asarray(hi)), axis=-1)
     active_indices = np.argwhere(active).astype(np.int64)
-    return active, active_indices, (active_indices + 0.5) * res
+    return active_indices, (active_indices + 0.5) * res
 
 
 def run_components_ref(n, src, dst):

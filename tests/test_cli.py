@@ -387,6 +387,16 @@ class TestExportVoxels:
         assert grid.num_voxels == 48000 and csv_rows < 48000
 
 
+def _run_cli(argv):
+    """``lidarplace`` run with ``argv`` in a fresh interpreter, on this checkout's sources."""
+    src = str(Path(lp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "lidarplace.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+
+
 class TestInputsCheckedBeforeOut:
     @pytest.fixture
     def inputs(self, tiny_scenario, tmp_path):
@@ -450,6 +460,54 @@ class TestInputsCheckedBeforeOut:
         err = capsys.readouterr().err
         assert "error[OUT_INVALID]" in err and "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "keep"
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["not-utf8", "nested-200000-deep"])
+    @pytest.mark.parametrize(
+        "role, code",
+        [("scenario", "SCHEMA_INVALID"), ("poses", "POSES_INVALID"), ("record", "RECORD_INVALID")],
+    )
+    def test_unparsable_json_is_the_files_error(self, inputs, tmp_path, capsys, nested, role, code):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"[" * 200_000 + b"]" * 200_000 if nested else b"\xff\xfe")
+        argv = {
+            "scenario": ["evaluate", "--scenario", str(path), "--poses", inputs["poses"]],
+            "poses": ["evaluate", "--scenario", inputs["scenario"], "--poses", str(path)],
+            "record": ["odr", "--scenario", inputs["scenario"], "--record", str(path)],
+        }[role]
+        out = tmp_path / "o"
+        if nested:
+            # In a fresh process: importing the oracles raises the test
+            # process's recursion limit past what the C stack holds for a
+            # nested JSON parse.
+            done = _run_cli([*argv, "--out", str(out)])
+            returncode, err = done.returncode, done.stderr
+        else:
+            returncode, err = main([*argv, "--out", str(out)]), capsys.readouterr().err
+        assert returncode == 3
+        assert f"error[{code}]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["evaluate", "--poses", "{poses}"], "evaluation.json"),
+            (["optimize"], "convergence.csv"),
+            (["optimize"], "voxels.ply"),
+            (["odr", "--poses", "{poses}", "--scatter", "1"], "vsr_odr.csv"),
+            (["sweep", "--counts", "1"], "sweep.csv"),
+        ],
+        ids=["json", "csv", "ply", "scatter", "sweep"],
+    )
+    def test_artifact_that_cannot_be_written_is_usage_error(
+        self, inputs, tmp_path, capsys, argv, blocked
+    ):
+        # a directory in the artifact's place makes its write fail
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        argv = [arg.format(**inputs) for arg in argv]
+        assert main([*argv, "--scenario", inputs["scenario"], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error[OUT_INVALID]" in err and blocked in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -291,7 +291,7 @@ class TestRunMetrics:
     @given(case=partitioned_grids())
     def test_runs_match_a_row_walk(self, case):
         grid, comp, _ = case
-        values, strides = segmentation._padded(comp, grid)
+        values, strides = grid.pad(comp), grid.padded_strides
         r = segmentation._runs(values, strides)
         at, expected = runs_ref(grid, comp)
         run_of = {cell: n for n, cells in enumerate(expected) for cell in cells}

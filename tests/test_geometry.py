@@ -78,30 +78,43 @@ class TestTransforms:
 
 
 class TestBeamSurface:
+    """The cone surface ``tan(pitch) * r`` as :func:`beam_digits` applies it: on it counts as above."""
+
+    @staticmethod
+    def cone_height(pitch, x, y):
+        # ``beam_digits``'s product, checked to be the boundary between digits 0 and 1
+        model = lp.LidarModel(beam_pitches=[pitch])
+        height = model.beam_tangents[0] * math.sqrt(x * x + y * y)
+        assert lp.beam_digits(model, [[x, y, height]]).tolist() == [1]
+        assert lp.beam_digits(model, [[x, y, np.nextafter(height, -math.inf)]]).tolist() == [0]
+        return height
+
     def test_flat_beam_is_zero(self):
-        assert lp.beam_surface_z(0.0, 12.3, -4.5) == 0.0
+        assert self.cone_height(0.0, 12.3, -4.5) == 0.0
 
     def test_unit_slope_on_345_triangle(self):
-        assert math.isclose(lp.beam_surface_z(math.pi / 4, 3.0, 4.0), 5.0, rel_tol=1e-12)
+        assert math.isclose(self.cone_height(math.pi / 4, 3.0, 4.0), 5.0, rel_tol=1e-12)
 
     def test_downward_beam(self):
-        assert abs(lp.beam_surface_z(math.radians(-15.0), 1.0, 0.0) - (-0.26795)) < 1e-4
+        assert abs(self.cone_height(math.radians(-15.0), 1.0, 0.0) - (-0.26795)) < 1e-4
 
     def test_rotation_invariance_about_vertical(self):
+        # Off the cones, the digit depends on (x, y) only through r.
         rng = np.random.default_rng(15)
         for _ in range(100):
-            pitch = rng.uniform(-1.2, 1.2)
+            model = lp.LidarModel(beam_pitches=np.sort(rng.uniform(-1.2, 1.2, 3)))
             radius = rng.uniform(0.1, 30.0)
             angles = rng.uniform(0, 2 * math.pi, 8)
-            values = [
-                lp.beam_surface_z(pitch, radius * math.cos(a), radius * math.sin(a))
-                for a in angles
-            ]
-            assert np.ptp(values) < 1e-9 * max(1.0, abs(values[0]))
+            heights = model.beam_tangents * radius
+            # below every cone, midway between neighbouring cones, above every cone
+            off_cones = [heights[0] - radius, *0.5 * (heights[:-1] + heights[1:]), heights[-1] + radius]
+            for band, z in enumerate(off_cones):
+                points = [[radius * math.cos(a), radius * math.sin(a), z] for a in angles]
+                assert lp.beam_digits(model, points).tolist() == [band] * 8
 
     def test_vertical_pitch_rejected(self):
         with pytest.raises(ValueError):
-            lp.beam_surface_z(math.pi / 2, 1.0, 1.0)
+            lp.LidarModel(beam_pitches=[math.pi / 2])
 
 
 class TestLidarModel:
@@ -179,15 +192,6 @@ class TestVoxelGrid:
                 excluded_boxes=(lp.Box(minimum=[0, 0, 0], maximum=[5, 1, 1]),),
             )
 
-    def test_every_inner_point_maps_to_one_voxel(self):
-        roi = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])
-        grid = lp.build_voxel_grid(roi)
-        rng = np.random.default_rng(16)
-        pts = rng.uniform(0, [8, 8, 4], (500, 3))
-        idx = grid.voxel_index_of(pts)
-        assert np.all(idx >= 0) and np.all(idx < np.array(grid.dims))
-        assert np.array_equal(grid.voxel_index_of(grid.active_centers), grid.active_indices)
-
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_matches_per_voxel_builder(self, data):
@@ -216,9 +220,12 @@ class TestVoxelGrid:
         grid = lp.build_voxel_grid(roi)
         # the written extent may differ from dims * resolution in the last bit
         ref = voxel_grid_ref(roi.grid_dims, res, [(b.minimum, b.maximum) for b in roi.excluded_boxes])
-        for got, want in zip((grid.active, grid.active_indices, grid.active_centers), ref):
+        for got, want in zip((grid.active_indices, grid.active_centers), ref):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert grid.active_centers.flags.f_contiguous
+        for a, axis in enumerate(grid.axis_centers):
+            assert axis.shape == (grid.dims[a],)
+            assert np.array_equal(axis[grid.active_indices[:, a]], grid.active_centers[:, a])
         sx, sy, sz = grid.padded_strides
         index = grid.active_indices
         assert np.array_equal(grid.padded_cells, index[:, 0] * sx + index[:, 1] * sy + index[:, 2] * sz)
@@ -231,14 +238,15 @@ class TestVoxelGrid:
         )
         grid = lp.build_voxel_grid(roi)
         ref = voxel_grid_ref((3, 3, 3), [0.3, 0.3, 0.3], [([0.15] * 3, [0.45] * 3)])
-        assert not grid.active[:2, :2, :2].any() and grid.num_active == 27 - 8
-        for got, want in zip((grid.active, grid.active_indices, grid.active_centers), ref):
+        assert not (grid.active_indices < 2).all(axis=1).any() and grid.num_active == 27 - 8
+        for got, want in zip((grid.active_indices, grid.active_centers), ref):
             assert np.array_equal(got, want)
 
     def test_centers_and_masks_are_read_only(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[2, 2, 2], resolution=[1, 1, 1]))
         for arr in (
-            grid.active, grid.active_indices, grid.active_centers, grid.resolution, grid.padded_cells
+            *grid.axis_centers, grid.active_indices, grid.active_centers, grid.resolution,
+            grid.padded_cells,
         ):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lidarplace as lp
+from lidarplace import cli
 from lidarplace.geometry import MAX_VOXELS
 from lidarplace.scenario import parse_angle, parse_scenario
 
@@ -77,10 +78,11 @@ class TestParsing:
         assert scenario.abc.num_bees == 50
         assert scenario.abc.max_iterations == 100
 
-    def test_round_trip_is_identity(self):
+    def test_round_trip_is_identity(self, tmp_path):
+        # through the file writer the commands use and the scenario loader
         scenario = parse_scenario(minimal_scenario())
-        text = lp.serialize_scenario(scenario)
-        again = parse_scenario(json.loads(text))
+        cli._write_json(tmp_path / "scenario.json", lp.canonical_dict(scenario))
+        again = lp.load_scenario(tmp_path / "scenario.json")
         assert lp.canonical_dict(again) == lp.canonical_dict(scenario)
         assert lp.scenario_digest(again) == lp.scenario_digest(scenario)
 
