@@ -35,16 +35,17 @@ poses = [
 
 grid = lp.build_voxel_grid(roi)
 report = lp.evaluate_placement(poses, [vlp16, vlp16], grid)
-print(f"\n{len(report.subspaces)} subspaces; objective (max VSR) = {report.objective:.4f} m")
-print("worst blind spot radius estimate:",
-      round(report.worst.inscribed_radius_estimate, 3), "m")
+# The report holds the subspace table as columns: row c describes component c.
+worst = int(np.argmax(report.vsr))
+print(f"\n{report.vsr.size} subspaces; objective (max VSR) = {report.objective:.4f} m")
+print("worst blind spot radius estimate:", round(3.0 * report.vsr[worst], 3), "m")
 
 print("\nten largest subspaces by VSR:")
 print(f"{'component':>9} {'voxels':>7} {'volume':>9} {'surface':>9} {'vsr':>8}")
-for rec in sorted(report.subspaces, key=lambda r: -r.vsr)[:10]:
-    print(f"{rec.component_id:>9} {rec.voxel_count:>7} {rec.volume:>9.2f} "
-          f"{rec.surface_area:>9.2f} {rec.vsr:>8.4f}")
+for c in np.argsort(-report.vsr, kind="stable")[:10]:
+    print(f"{c:>9} {report.voxel_count[c]:>7} {report.volume[c]:>9.2f} "
+          f"{report.surface_area[c]:>9.2f} {report.vsr[c]:>8.4f}")
 
 # Volumes always add back up to the active ROI volume.
-total = sum(rec.volume for rec in report.subspaces)
+total = report.volume.sum()
 print(f"\nvolume conservation: {total:.6f} == {grid.num_active * grid.voxel_volume:.6f}")

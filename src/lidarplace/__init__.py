@@ -9,7 +9,6 @@ estimator validates the objective as a detection proxy.
 from .bees import AbcParams, FoodSource, SolveResult, fitness, optimize, propose, roulette_many
 from .cost import (
     PlacementReport,
-    SubspaceRecord,
     component_metrics,
     decision_bounds,
     evaluate_placement,
@@ -59,7 +58,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SolveResult",
-    "SubspaceRecord",
     "VoxelGrid",
     "as_vec3",
     "beam_digits",

@@ -35,6 +35,7 @@ from . import bees, cost
 from .geometry import PoseConfig
 from .odr import estimate_odr
 from .scenario import (
+    MAX_SENSORS,
     Scenario,
     ScenarioError,
     canonical_dict,
@@ -45,7 +46,6 @@ from .scenario import (
     scenario_digest,
     with_seed,
 )
-from .segmentation import segment
 
 __all__ = ["main"]
 
@@ -86,17 +86,21 @@ def _pose_dict(pose: PoseConfig) -> dict:
 
 
 def _subspace_rows(report: cost.PlacementReport) -> list[dict]:
+    """One row per subspace, adding ``3 * vsr`` as the inscribed-radius estimate."""
+    columns = (report.codes, report.voxel_count, report.volume, report.surface_area, report.vsr)
     return [
         {
-            "component": rec.component_id,
-            "code": list(rec.code),
-            "voxel_count": rec.voxel_count,
-            "volume": rec.volume,
-            "surface_area": rec.surface_area,
-            "vsr": rec.vsr,
-            "inscribed_radius_estimate": rec.inscribed_radius_estimate,
+            "component": component,
+            "code": code,
+            "voxel_count": voxel_count,
+            "volume": volume,
+            "surface_area": surface_area,
+            "vsr": vsr,
+            "inscribed_radius_estimate": 3.0 * vsr,
         }
-        for rec in report.subspaces
+        for component, (code, voxel_count, volume, surface_area, vsr) in enumerate(
+            zip(*(column.tolist() for column in columns))
+        )
     ]
 
 
@@ -132,7 +136,7 @@ def _component_color(component: int) -> tuple[int, int, int]:
     return tuple(int(round(255 * c)) for c in rgb)
 
 
-def _write_voxel_export(out_dir: Path, grid, labels: np.ndarray, comp: np.ndarray) -> tuple[Path, Path]:
+def _write_voxel_export(out_dir: Path, grid, report: cost.PlacementReport) -> tuple[Path, Path]:
     csv_path = out_dir / "voxels.csv"
     ply_path = out_dir / "voxels.ply"
     n = grid.num_active
@@ -141,10 +145,9 @@ def _write_voxel_export(out_dir: Path, grid, labels: np.ndarray, comp: np.ndarra
     # is that axis's coordinate at its index, and every voxel of a component
     # carries the component's code and color.
     xs, ys, zs = ([_fmt(c) for c in axis] for axis in grid.axis_centers)
-    member = np.zeros(int(comp.max(initial=-1)) + 1, dtype=np.int64)
-    member[comp] = np.arange(n)
-    codes = ["-".join(map(str, row)) for row in labels[member].tolist()]
-    colors = [" ".join(map(str, _component_color(c))) for c in range(member.size)]
+    comp = report.component_ids
+    codes = ["-".join(map(str, row)) for row in report.codes.tolist()]
+    colors = [" ".join(map(str, _component_color(c))) for c in range(len(codes))]
 
     header = [
         "ply",
@@ -235,7 +238,7 @@ def cmd_optimize(args) -> int:
 
     poses = cost.poses_from_vector(result.best_solution, len(models))
     report = cost.evaluate_placement(poses, models, grid)
-    csv_path, ply_path = _write_voxel_export(out, grid, report.labels, report.component_ids)
+    csv_path, ply_path = _write_voxel_export(out, grid, report)
     _write_convergence_csv(out / "convergence.csv", result.history)
     _write_json(
         out / "results.json",
@@ -256,7 +259,7 @@ def cmd_optimize(args) -> int:
     )
 
     print(f"scenario digest: {digest}")
-    print(f"objective (max VSR): {result.best_cost:.6f} m over {len(report.subspaces)} subspaces")
+    print(f"objective (max VSR): {result.best_cost:.6f} m over {report.vsr.size} subspaces")
     _print_pose_table(poses)
     print(f"wrote results to {out} in {duration:.1f} s")
     return EXIT_OK
@@ -275,6 +278,7 @@ def cmd_evaluate(args) -> int:
     _warn_out_of_bounds(poses, scenario.bounds)
 
     report = cost.evaluate_placement(poses, models, scenario.grid)
+    rows = _subspace_rows(report)
     _write_json(
         out / "evaluation.json",
         {
@@ -283,14 +287,14 @@ def cmd_evaluate(args) -> int:
             "scenario": canonical_dict(scenario),
             "poses": [_pose_dict(p) for p in poses],
             "objective": report.objective,
-            "subspaces": _subspace_rows(report),
+            "subspaces": rows,
         },
     )
-    print(f"objective (max VSR): {report.objective:.6f} m over {len(report.subspaces)} subspaces")
-    worst = report.worst
+    print(f"objective (max VSR): {report.objective:.6f} m over {len(rows)} subspaces")
+    worst = rows[int(np.argmax(report.vsr))]
     print(
-        f"worst subspace: component {worst.component_id} code "
-        f"{'-'.join(str(d) for d in worst.code)} with {worst.voxel_count} voxels"
+        f"worst subspace: component {worst['component']} code "
+        f"{'-'.join(str(d) for d in worst['code'])} with {worst['voxel_count']} voxels"
     )
     return EXIT_OK
 
@@ -304,8 +308,8 @@ def cmd_sweep(args) -> int:
         counts = [int(c) for c in counts]
     except ValueError as exc:
         raise CliError("SWEEP_EMPTY", f"--counts entries must be integers: {exc}", EXIT_USAGE)
-    if any(c < 1 for c in counts):
-        raise CliError("SWEEP_EMPTY", "--counts entries must be >= 1", EXIT_USAGE)
+    if any(not 1 <= c <= MAX_SENSORS for c in counts):
+        raise CliError("SWEEP_EMPTY", f"--counts entries must lie in [1, {MAX_SENSORS}]", EXIT_USAGE)
 
     model_names = (
         [m for m in args.models.split(",") if m] if args.models else sorted(scenario.models)
@@ -433,9 +437,9 @@ def cmd_export_voxels(args) -> int:
         raise CliError("RECORD_INVALID", "record poses do not match its scenario")
     out = _out_dir(args)
     grid = scenario.grid
-    labels, comp, count = segment(poses, models, grid)
-    csv_path, ply_path = _write_voxel_export(out, grid, labels, comp)
-    print(f"exported {grid.num_active} voxels over {count} subspaces")
+    report = cost.evaluate_placement(poses, models, grid)
+    csv_path, ply_path = _write_voxel_export(out, grid, report)
+    print(f"exported {grid.num_active} voxels over {report.vsr.size} subspaces")
     print(f"wrote {csv_path} and {ply_path}")
     return EXIT_OK
 

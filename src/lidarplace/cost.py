@@ -13,6 +13,9 @@ voxels holds ``n - 1`` y face pairs.
 The placement objective is the maximum volume-to-surface-area ratio (VSR)
 over all subspaces; ``3 * VSR`` estimates the radius of the largest sphere
 that fits inside, so minimizing the maximum VSR shrinks the worst blind spot.
+:func:`evaluate_placement` returns the whole subspace table as the columns of
+a :class:`PlacementReport`: each component's code plus the
+:func:`component_metrics` rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
 from .segmentation import _code_runs, _run_components, _runs, segment
 
 __all__ = [
-    "SubspaceRecord",
     "PlacementReport",
     "component_metrics",
     "max_vsr",
@@ -38,35 +40,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubspaceRecord:
-    """One row of a placement's per-subspace metrics table."""
-
-    component_id: int
-    code: tuple[int, ...]
-    voxel_count: int
-    volume: float
-    surface_area: float
-    vsr: float
-    inscribed_radius_estimate: float
-
-
 @dataclass(frozen=True, eq=False)
 class PlacementReport:
-    """Objective value plus the full per-subspace metrics table.
+    """A placement's objective and its subspace table, held as columns.
 
-    ``labels`` and ``component_ids`` are the per-active-voxel codes and
-    component ids the table was computed from.
+    Row ``c`` of every column describes component ``c``: ``codes[c]`` is its
+    subspace code (one digit per sensor), and ``voxel_count``, ``volume``,
+    ``surface_area`` and ``vsr`` are the rows of :func:`component_metrics`.
+    ``component_ids`` holds the component of every active voxel.
     """
 
     objective: float
-    subspaces: tuple[SubspaceRecord, ...]
-    labels: np.ndarray = field(repr=False)
     component_ids: np.ndarray = field(repr=False)
-
-    @property
-    def worst(self) -> SubspaceRecord:
-        return max(self.subspaces, key=lambda rec: rec.vsr)
+    codes: np.ndarray = field(repr=False)
+    voxel_count: np.ndarray = field(repr=False)
+    volume: np.ndarray = field(repr=False)
+    surface_area: np.ndarray = field(repr=False)
+    vsr: np.ndarray = field(repr=False)
 
 
 def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
@@ -128,15 +118,7 @@ def evaluate_placement(
     # Every voxel of a component carries its code, so any member will do.
     member = np.empty(count, dtype=np.int64)
     member[comp] = np.arange(comp.size)
-    records = tuple(
-        SubspaceRecord(cid, tuple(code), size, volume, area, ratio, 3.0 * ratio)
-        for cid, (code, size, volume, area, ratio) in enumerate(
-            zip(labels[member].tolist(), sizes.tolist(), vol.tolist(), sa.tolist(), ratios.tolist())
-        )
-    )
-    return PlacementReport(
-        objective=float(ratios.max()), subspaces=records, labels=labels, component_ids=comp
-    )
+    return PlacementReport(float(ratios.max()), comp, labels[member], sizes, vol, sa, ratios)
 
 
 def poses_from_vector(vector, num_lidars: int) -> tuple[PoseConfig, ...]:

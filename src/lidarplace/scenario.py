@@ -49,6 +49,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# Most sensors one placement may hold: every sensor adds a digit per voxel
+# and five decision variables.
+MAX_SENSORS = 64
+
 
 class ScenarioError(ValueError):
     """Scenario validation failure with a stable machine-parsable code."""
@@ -236,6 +240,8 @@ def parse_scenario(data: dict) -> Scenario:
         if count < 1:
             raise ScenarioError("SCHEMA_INVALID", f"lidars[{i}].count must be >= 1")
         lidars.append((name, count))
+    if sum(count for _, count in lidars) > MAX_SENSORS:
+        raise ScenarioError("SCHEMA_INVALID", f"lidars place more than {MAX_SENSORS} sensors")
 
     bounds_data = _require(data, "bounds", "scenario")
     lower = _parse_bound_vector(_require(bounds_data, "lower", "bounds"), "bounds.lower")

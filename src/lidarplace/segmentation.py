@@ -169,8 +169,6 @@ def _pack_rows(labels: np.ndarray) -> np.ndarray:
     Every column shares one radix, the largest digit plus one: a single
     contiguous pass, where a per-column maximum strides across rows.
     """
-    if labels.shape[1] == 1:
-        return labels[:, 0].astype(np.int64)
     radix = int(labels.max()) + 1
     if labels.shape[1] * math.log2(max(radix, 1)) >= 62.0:
         # The packed code would overflow; fall back to row identity via sorting.

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 import sys
 
-sys.setrecursionlimit(100_000)
-
 FACE_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
@@ -59,7 +57,8 @@ def flood_fill_components(cells, order=None):
 
     ``cells`` maps index triples to a hashable code.  ``order`` optionally
     fixes the visitation order (any permutation of the keys) to demonstrate
-    order independence.  Returns a list of frozensets.
+    order independence.  Returns a list of frozensets.  The fill recurses
+    once per cell, so the recursion limit is raised while it runs.
     """
     remaining = set(cells)
     components = []
@@ -73,11 +72,16 @@ def flood_fill_components(cells, order=None):
         for di, dj, dk in FACE_STEPS:
             fill((i + di, j + dj, k + dk), code, bucket)
 
-    for seed in order if order is not None else sorted(cells):
-        if seed in remaining:
-            bucket = set()
-            fill(seed, cells[seed], bucket)
-            components.append(frozenset(bucket))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, len(cells) + 1_000))
+    try:
+        for seed in order if order is not None else sorted(cells):
+            if seed in remaining:
+                bucket = set()
+                fill(seed, cells[seed], bucket)
+                components.append(frozenset(bucket))
+    finally:
+        sys.setrecursionlimit(limit)
     return components
 
 

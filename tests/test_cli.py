@@ -15,6 +15,7 @@ import lidarplace as lp
 from lidarplace import cli
 from lidarplace.cli import main
 from lidarplace.geometry import MAX_VOXELS
+from lidarplace.scenario import MAX_SENSORS
 from oracles import brute_force_max_vsr, voxel_export_ref
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -387,16 +388,6 @@ class TestExportVoxels:
         assert grid.num_voxels == 48000 and csv_rows < 48000
 
 
-def _run_cli(argv):
-    """``lidarplace`` run with ``argv`` in a fresh interpreter, on this checkout's sources."""
-    src = str(Path(lp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "lidarplace.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=300, check=False,
-    )
-
-
 class TestInputsCheckedBeforeOut:
     @pytest.fixture
     def inputs(self, tiny_scenario, tmp_path):
@@ -425,6 +416,8 @@ class TestInputsCheckedBeforeOut:
             (["odr", "--record", "{bad_record}"], "RECORD_INVALID", 3),
             (["odr", "--record", "{missing}"], "RECORD_MISSING", 4),
             (["sweep", "--counts", ""], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", f"1,{MAX_SENSORS + 1}"], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", str(2**63)], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", "ghost"], "MODEL_UNKNOWN", 3),
             (["optimize", "--scenario", "{directory}"], "SCENARIO_MISSING", 4),
             (["evaluate", "--poses", "{directory}"], "POSES_MISSING", 4),
@@ -434,7 +427,8 @@ class TestInputsCheckedBeforeOut:
         ids=[
             "evaluate-poses-missing", "evaluate-poses-not-a-list", "evaluate-pose-count",
             "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
-            "odr-record-invalid", "odr-record-missing", "sweep-empty", "sweep-unknown-model",
+            "odr-record-invalid", "odr-record-missing", "sweep-empty", "sweep-count-above-limit",
+            "sweep-count-2**63", "sweep-unknown-model",
             "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
             "odr-record-directory",
         ],
@@ -448,6 +442,18 @@ class TestInputsCheckedBeforeOut:
         assert main([*argv, "--out", str(out)]) == exit_code
         err = capsys.readouterr().err
         assert f"error[{code}]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [2**63, 1e300, MAX_SENSORS + 1], ids=["2**63", "1e300", "limit+1"])
+    @pytest.mark.parametrize("command", ["evaluate", "odr"])
+    def test_too_many_sensors_is_schema_invalid(self, inputs, tmp_path, capsys, command, count):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(dict(TINY, lidars=[{"model": "b2", "count": count}])), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(path), "--poses", inputs["poses"], "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error[SCHEMA_INVALID]" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
@@ -475,15 +481,8 @@ class TestInputsCheckedBeforeOut:
             "record": ["odr", "--scenario", inputs["scenario"], "--record", str(path)],
         }[role]
         out = tmp_path / "o"
-        if nested:
-            # In a fresh process: importing the oracles raises the test
-            # process's recursion limit past what the C stack holds for a
-            # nested JSON parse.
-            done = _run_cli([*argv, "--out", str(out)])
-            returncode, err = done.returncode, done.stderr
-        else:
-            returncode, err = main([*argv, "--out", str(out)]), capsys.readouterr().err
-        assert returncode == 3
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
         assert f"error[{code}]" in err and "Traceback" not in err
         assert not out.exists()
 
@@ -704,11 +703,11 @@ class TestRuntimeDependencies:
         assert float(done.stdout.splitlines()[-1]) < 300
 
 
-def _labelled(roi, poses, models):
+def _evaluated(roi, poses, models):
+    """The grid, every active voxel's code, and the placement report."""
     grid = lp.build_voxel_grid(roi)
     labels = lp.first_level_labels(poses, models, grid)
-    comp, count = lp.component_ids(labels, grid)
-    return grid, labels, comp, count
+    return grid, labels, lp.evaluate_placement(poses, models, grid)
 
 
 WIDE = lp.LidarModel(beam_pitches=np.radians(np.linspace(-20.0, 20.0, 9)))
@@ -731,11 +730,11 @@ class TestVoxelWriters:
             lp.PoseConfig(position=[2.1, 1.4, 0.8], roll=-0.4),
             lp.PoseConfig(position=[1.5, 0.2, 1.0], pitch=-0.2, roll=0.5),
         ]
-        grid, labels, comp, count = _labelled(roi, poses, [WIDE, WIDE, WIDE])
-        assert count > 50 and grid.num_active < grid.num_voxels
+        grid, labels, report = _evaluated(roi, poses, [WIDE, WIDE, WIDE])
+        assert report.vsr.size > 50 and grid.num_active < grid.num_voxels
         with mock.patch.object(cli, "_WRITE_BLOCK", block):
-            cli._write_voxel_export(tmp_path, grid, labels, comp)
-        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, comp)
+            cli._write_voxel_export(tmp_path, grid, report)
+        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, report.component_ids)
         assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
         assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
 
@@ -745,10 +744,10 @@ class TestVoxelWriters:
         lower, upper = lp.decision_bounds(scenario.bounds, len(models))
         vector = np.random.default_rng(8).uniform(lower, upper)
         poses = lp.poses_from_vector(vector, len(models))
-        grid, labels, comp, count = _labelled(scenario.roi, poses, models)
-        assert count > 1000
-        cli._write_voxel_export(tmp_path, grid, labels, comp)
-        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, comp)
+        grid, labels, report = _evaluated(scenario.roi, poses, models)
+        assert report.vsr.size > 1000
+        cli._write_voxel_export(tmp_path, grid, report)
+        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, report.component_ids)
         assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
         assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
 

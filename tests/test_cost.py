@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from grids import blob_grid, blob_metrics, single_component_metrics
-from lidarplace import segmentation
+from lidarplace import cli, segmentation
 from oracles import (
     assert_valid_partition,
     brute_force_max_vsr,
@@ -126,10 +126,10 @@ class TestVsr:
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[60, 20, 4], resolution=RES))
         model = lp.LidarModel(beam_pitches=[math.radians(5), math.radians(15)])
         pose = lp.PoseConfig(position=[30.0, 10.0, 4.5])  # every cone clears the ROI
-        (rec,) = lp.evaluate_placement([pose], [model], grid).subspaces
-        assert rec.vsr == pytest.approx(4800.0 / 3040.0, rel=1e-12)
-        assert rec.inscribed_radius_estimate == pytest.approx(3 * 4800.0 / 3040.0, rel=1e-12)
-        assert rec.vsr > 0
+        (row,) = cli._subspace_rows(lp.evaluate_placement([pose], [model], grid))
+        assert row["vsr"] == pytest.approx(4800.0 / 3040.0, rel=1e-12)
+        assert row["inscribed_radius_estimate"] == pytest.approx(3 * 4800.0 / 3040.0, rel=1e-12)
+        assert row["vsr"] > 0
 
     def test_metrics_fields_consistent(self):
         rng = np.random.default_rng(33)
@@ -156,7 +156,7 @@ class TestMaxVsr:
         model = lp.LidarModel(beam_pitches=[math.radians(5), math.radians(15)])
         pose = lp.PoseConfig(position=[4.0, 4.0, 4.5])  # mounted above the ROI ceiling
         report = lp.evaluate_placement([pose], [model], grid)
-        assert len(report.subspaces) == 1
+        assert report.vsr.size == 1
         assert report.objective == component_vsr(
             list(map(tuple, grid.active_indices.tolist())), grid.resolution
         )
@@ -218,13 +218,42 @@ class TestMaxVsr:
         pose = lp.PoseConfig(position=[4.0, 4.0, 3.0])
         grid = lp.build_voxel_grid(roi)
         report = lp.evaluate_placement([pose], [model], grid)
-        assert report.objective == max(rec.vsr for rec in report.subspaces)
-        assert report.worst.vsr == report.objective
-        total = sum(rec.voxel_count for rec in report.subspaces)
+        rows = cli._subspace_rows(report)
+        assert report.objective == max(row["vsr"] for row in rows)
+        assert rows[int(np.argmax(report.vsr))]["vsr"] == report.objective
+        total = sum(row["voxel_count"] for row in rows)
         assert total == grid.num_active
-        for rec in report.subspaces:
-            assert rec.vsr > 0
-            assert rec.inscribed_radius_estimate == 3.0 * rec.vsr
+        for row in rows:
+            assert row["vsr"] > 0
+            assert row["inscribed_radius_estimate"] == 3.0 * row["vsr"]
+
+    def test_report_columns_share_one_code_rule(self):
+        roi = lp.RoiSpec(
+            extent=[6, 4, 2],
+            resolution=[0.5, 0.5, 0.25],
+            excluded_boxes=(lp.Box(minimum=[2, 1, 0], maximum=[3.5, 2.5, 1]),),
+        )
+        grid = lp.build_voxel_grid(roi)
+        model = lp.LidarModel(beam_pitches=np.radians(np.linspace(-20.0, 20.0, 9)))
+        poses = [
+            lp.PoseConfig(position=[1.5, 1.0, 1.6], pitch=0.3),
+            lp.PoseConfig(position=[4.5, 3.0, 1.4], roll=-0.4),
+            lp.PoseConfig(position=[3.0, 0.5, 1.9], pitch=-0.2, roll=0.5),
+        ]
+        report = lp.evaluate_placement(poses, [model] * 3, grid)
+        count = report.vsr.size
+        assert count > 20 and grid.num_active < grid.num_voxels
+        # every voxel carries its component's code
+        labels = lp.first_level_labels(poses, [model] * 3, grid)
+        assert np.array_equal(report.codes[report.component_ids], labels)
+        columns = (report.voxel_count, report.volume, report.surface_area, report.vsr)
+        for got, expected in zip(columns, lp.component_metrics(report.component_ids, count, grid)):
+            assert np.array_equal(got, expected)
+        cells = grid.active_indices.tolist()
+        for c in range(count):
+            members = [tuple(cells[i]) for i in np.flatnonzero(report.component_ids == c)]
+            assert report.vsr[c] == component_vsr(members, grid.resolution)
+        assert report.objective == report.vsr.max()
 
 
 @st.composite

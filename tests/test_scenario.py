@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import lidarplace as lp
 from lidarplace import cli
 from lidarplace.geometry import MAX_VOXELS
-from lidarplace.scenario import parse_angle, parse_scenario
+from lidarplace.scenario import MAX_SENSORS, parse_angle, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -230,6 +230,17 @@ class TestNamedErrors:
         self.expect(minimal_scenario(models={"b2": {"beam_pitches": pitches}}), "SCHEMA_INVALID")
         limit = {"b2": {"evenly_spaced": {"count": 255, "start": -0.2, "stop": 0.2}}}
         assert parse_scenario(minimal_scenario(models=limit)).models["b2"].num_beams == 255
+
+    def test_sensor_count_above_limit_rejected(self):
+        for lidars in (
+            [{"model": "b2", "count": MAX_SENSORS + 1}],
+            [{"model": "b2", "count": MAX_SENSORS}, {"model": "b2", "count": 1}],
+            [{"model": "b2", "count": 2**63}],
+            [{"model": "b2", "count": 1e300}],
+        ):
+            self.expect(minimal_scenario(lidars=lidars), "SCHEMA_INVALID")
+        limit = [{"model": "b2", "count": MAX_SENSORS - 1}, {"model": "b2", "count": 1}]
+        assert parse_scenario(minimal_scenario(lidars=limit)).num_lidars == MAX_SENSORS
 
     def test_negative_seed(self):
         data = minimal_scenario()

@@ -371,6 +371,10 @@ class TestConnectedComponents:
         comp, count = lp.component_ids(labels, grid)
         assert count == 3
         assert comp.tolist() == [0, 0, 1, 2]
+        # one column wider than 62 bits takes the fallback as well
+        comp, count = lp.component_ids(np.array([[2**62], [2**62], [5], [2**62]]), grid)
+        assert count == 3
+        assert comp.tolist() == [0, 0, 1, 2]
 
 
 def assert_matches_flood_fill(grid, labels):
