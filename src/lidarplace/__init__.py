@@ -6,7 +6,7 @@ worst subspace's volume-to-surface-area ratio.  A Monte Carlo detection-rate
 estimator validates the objective as a detection proxy.
 """
 
-from .bees import AbcParams, FoodSource, SolveResult, fitness, optimize, propose, roulette_many
+from .bees import AbcParams, SolveResult, fitness, optimize, propose, roulette_many
 from .cost import (
     PlacementReport,
     component_metrics,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbcParams",
     "Box",
-    "FoodSource",
     "LidarModel",
     "ObjectSpec",
     "OdrReport",

@@ -10,6 +10,9 @@ iteration runs three phases:
 * scout: a source that has failed ``abandonment_threshold`` times in a row is
   abandoned and resampled uniformly from the box.
 
+The colony is held as columns, one row per source (solution, cost, fitness,
+failure streak, scout count); ``optimize`` returns them read-only.
+
 Fitness is ``1 / (1 + cost)``, so lower cost means proportionally more
 onlooker attention.  Candidate moves are clamped into the box, the global
 best is retained across scout restarts, and every random draw happens on the
@@ -27,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "FoodSource",
     "AbcParams",
     "SolveResult",
     "fitness",
@@ -37,14 +39,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class FoodSource:
-    """One candidate solution with its cost, fitness, and failure streak."""
-
-    solution: np.ndarray
-    cost: float
-    fitness: float
-    stagnation: int = 0
+# Colony limits, ~20x and ~160x the paper's 200 bees and 800 iterations.  A
+# (num_bees, dim) float array takes 2 560 bytes per bee at 64 sensors' 320 pose
+# variables, so each is at most 10 MiB; ``history`` takes 16 bytes and
+# convergence.csv one row of at most 60 bytes per iteration: 2 MiB and 8 MB.
+MAX_BEES = 2**12
+MAX_ITERATIONS = 2**17
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ class AbcParams:
     mutate_all_dims: bool = False
 
     def __post_init__(self):
-        if self.num_bees < 2:
-            raise ValueError("num_bees must be >= 2 (local moves need a partner)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 2 <= self.num_bees <= MAX_BEES:
+            raise ValueError(f"num_bees must lie in [2, {MAX_BEES}] (local moves need a partner)")
+        if not 1 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must lie in [1, {MAX_ITERATIONS}]")
         if self.abandonment_threshold < 1:
             raise ValueError("abandonment_threshold must be >= 1")
         if self.rng_seed < 0:
@@ -75,18 +75,23 @@ class AbcParams:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Best solution found plus per-iteration convergence history.
+    """Best solution found, per-iteration convergence history, and the final colony.
 
     ``history`` has one ``(best_cost, mean_cost)`` row per iteration; the
-    best-cost column is non-increasing.  ``population`` is the final colony
-    state and ``scout_counts`` tallies how often each source was abandoned.
+    best-cost column is non-increasing.  The colony columns have one row per
+    source: ``solutions`` ``(num_bees, dim)``, ``costs``, ``stagnation`` (the
+    failure streak) and ``scout_counts`` (how often the source was
+    abandoned); ``fitness(costs)`` gives its fitness.  ``history`` and the
+    colony columns are read-only.
     """
 
     best_solution: np.ndarray
     best_cost: float
     history: np.ndarray
-    population: tuple[FoodSource, ...] = field(repr=False, default=())
-    scout_counts: np.ndarray = field(repr=False, default=None)
+    solutions: np.ndarray = field(repr=False)
+    costs: np.ndarray = field(repr=False)
+    stagnation: np.ndarray = field(repr=False)
+    scout_counts: np.ndarray = field(repr=False)
 
     @property
     def history_best(self) -> np.ndarray:
@@ -185,15 +190,11 @@ def optimize(
     rng = np.random.default_rng(params.rng_seed)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    apply = map if pool is None else pool.map
 
     def evaluate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Costs of the batch's rows and their fitness; rejects invalid costs."""
-        rows = list(batch)
-        if pool is None:
-            costs = [float(objective(row)) for row in rows]
-        else:
-            costs = [float(c) for c in pool.map(objective, rows)]
-        costs = np.asarray(costs, dtype=float)
+        costs = np.fromiter(apply(objective, batch), dtype=float, count=len(batch))
         return costs, fitness(costs)
 
     try:
@@ -243,21 +244,14 @@ def optimize(
             pool.shutdown()
 
     best_cost, best_solution = best
-    population = tuple(
-        FoodSource(
-            solution=solutions[i].copy(),
-            cost=float(costs[i]),
-            fitness=float(fits[i]),
-            stagnation=int(stagnation[i]),
-        )
-        for i in range(tau)
-    )
-    history.flags.writeable = False
-    scout_counts.flags.writeable = False
+    for column in (history, solutions, costs, stagnation, scout_counts):
+        column.flags.writeable = False
     return SolveResult(
         best_solution=best_solution,
         best_cost=best_cost,
         history=history,
-        population=population,
+        solutions=solutions,
+        costs=costs,
+        stagnation=stagnation,
         scout_counts=scout_counts,
     )

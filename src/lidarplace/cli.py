@@ -57,6 +57,11 @@ EXIT_MISSING = 4
 # Voxel rows formatted per write, which bounds the exporter's memory.
 _WRITE_BLOCK = 4096
 
+# Most objective threads a command may start.  A fixed cap gives the same
+# error on every machine; a colony's pool would otherwise start one thread
+# per trial of a phase, up to ``--threads``.
+MAX_THREADS = 64
+
 # glibc mallopt parameters and the values a command runs with: blocks up to
 # 16 MiB come from the heap, and up to 256 MiB of free heap top is kept.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -503,8 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_ranges(args) -> None:
     """Reject thread and scatter counts out of range before any command runs."""
-    if args.threads < 1:
-        raise CliError("ARG_RANGE", f"--threads must be >= 1, got {args.threads}", EXIT_USAGE)
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise CliError(
+            "ARG_RANGE", f"--threads must lie in [1, {MAX_THREADS}], got {args.threads}", EXIT_USAGE
+        )
     if getattr(args, "scatter", 0) < 0:
         raise CliError("ARG_RANGE", f"--scatter must be >= 0, got {args.scatter}", EXIT_USAGE)
 

@@ -78,6 +78,12 @@ class ObjectSpec:
         return region
 
 
+# Most trials one estimate may draw, ~1 000x the paper's 1 000: corners, the
+# boxes' far corners and their index blocks take 105 bytes a trial, so an
+# estimate's per-trial arrays stay under 128 MiB.
+MAX_TRIALS = 2**20
+
+
 @dataclass(frozen=True, eq=False)
 class OdrSettings:
     """Detection-trial settings: the test object, trial count, and threshold."""
@@ -87,8 +93,8 @@ class OdrSettings:
     threshold: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("odr trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"odr trials must lie in [1, {MAX_TRIALS}]")
         if self.threshold < 0:
             raise ValueError("odr threshold must be >= 0")
 

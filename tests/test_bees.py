@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import lidarplace as lp
+from lidarplace.bees import MAX_BEES, MAX_ITERATIONS
 
 
 def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
+
+
+# SolveResult's read-only arrays: the history and the final colony's columns.
+COLONY_ARRAYS = ("history", "solutions", "costs", "stagnation", "scout_counts")
 
 
 class _FixedDraws:
@@ -148,11 +155,17 @@ class TestOptimize:
         assert np.array_equal(a.history, b.history)
 
     def test_threads_do_not_change_results(self):
-        params = lp.AbcParams(num_bees=12, max_iterations=40, rng_seed=4)
-        serial = lp.optimize(sphere, self.BOUNDS, params, threads=1)
-        parallel = lp.optimize(sphere, self.BOUNDS, params, threads=4)
-        assert np.array_equal(serial.best_solution, parallel.best_solution)
-        assert np.array_equal(serial.history, parallel.history)
+        # a threshold of 10 makes scouts fire, so scout_counts is not all zero
+        for all_dims, threshold in itertools.product((False, True), (100, 10)):
+            params = lp.AbcParams(
+                num_bees=12, max_iterations=40, abandonment_threshold=threshold, rng_seed=4,
+                mutate_all_dims=all_dims,
+            )
+            serial = lp.optimize(sphere, self.BOUNDS, params, threads=1)
+            parallel = lp.optimize(sphere, self.BOUNDS, params, threads=4)
+            assert serial.best_cost == parallel.best_cost
+            for name in ("best_solution", *COLONY_ARRAYS):
+                assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
 
     def test_every_candidate_stays_in_box(self):
         seen = []
@@ -165,16 +178,31 @@ class TestOptimize:
         result = lp.optimize(recording, self.BOUNDS, params)
         stacked = np.vstack(seen)
         assert np.all(stacked >= self.BOUNDS[0]) and np.all(stacked <= self.BOUNDS[1])
-        for source in result.population:
-            assert np.all(source.solution >= self.BOUNDS[0])
-            assert np.all(source.solution <= self.BOUNDS[1])
-            assert source.stagnation >= 0
-            assert source.fitness == 1.0 / (1.0 + source.cost)
+        assert result.solutions.shape == (8, 2)
+        assert np.all(result.solutions >= self.BOUNDS[0])
+        assert np.all(result.solutions <= self.BOUNDS[1])
+        assert result.costs.shape == result.stagnation.shape == (8,)
+        assert np.all(result.stagnation >= 0)
+        assert np.array_equal(lp.fitness(result.costs), 1.0 / (1.0 + result.costs))
+
+    def test_result_columns_are_the_final_colony(self):
+        params = lp.AbcParams(num_bees=8, max_iterations=30, abandonment_threshold=5, rng_seed=11)
+        result = lp.optimize(sphere, self.BOUNDS, params)
+        for name in COLONY_ARRAYS:
+            column = getattr(result, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[0] = 0
+        # each cost is the objective of its row, bit for bit
+        assert [sphere(row) for row in result.solutions] == result.costs.tolist()
 
     def test_constant_objective_scouts_every_source(self):
         params = lp.AbcParams(num_bees=4, max_iterations=60, abandonment_threshold=5, rng_seed=6)
         result = lp.optimize(lambda x: 1.0, self.BOUNDS, params)
         assert np.all(result.scout_counts >= 1)
+        # no move is accepted, so every streak ends below the threshold only
+        # because the last scout phase reset each one that reached it
+        assert np.all(result.stagnation < params.abandonment_threshold)
         assert np.all(result.history[:, 0] == result.history[0, 0])
 
     def test_improvement_resets_streak_before_threshold(self):
@@ -196,6 +224,11 @@ class TestOptimize:
             lp.AbcParams(num_bees=5, max_iterations=0)
         with pytest.raises(ValueError):
             lp.AbcParams(num_bees=5, max_iterations=10, abandonment_threshold=0)
+        with pytest.raises(ValueError, match=str(MAX_BEES)):
+            lp.AbcParams(num_bees=MAX_BEES + 1, max_iterations=10)
+        with pytest.raises(ValueError, match=str(MAX_ITERATIONS)):
+            lp.AbcParams(num_bees=5, max_iterations=MAX_ITERATIONS + 1)
+        lp.AbcParams(num_bees=MAX_BEES, max_iterations=MAX_ITERATIONS)  # the limits are valid
 
     def test_inverted_bounds_rejected(self):
         params = lp.AbcParams(num_bees=4, max_iterations=5)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import math
 import os
@@ -13,8 +14,10 @@ import pytest
 
 import lidarplace as lp
 from lidarplace import cli
+from lidarplace.bees import MAX_BEES, MAX_ITERATIONS
 from lidarplace.cli import main
 from lidarplace.geometry import MAX_VOXELS
+from lidarplace.odr import MAX_TRIALS
 from lidarplace.scenario import MAX_SENSORS
 from oracles import brute_force_max_vsr, voxel_export_ref
 
@@ -456,6 +459,28 @@ class TestInputsCheckedBeforeOut:
         assert "error[SCHEMA_INVALID]" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [10**12, 1e300, None], ids=["10**12", "1e300", "limit+1"])
+    @pytest.mark.parametrize(
+        "section, key, limit",
+        [("abc", "num_bees", MAX_BEES), ("abc", "max_iterations", MAX_ITERATIONS),
+         ("odr", "trials", MAX_TRIALS)],
+        ids=["num_bees", "max_iterations", "odr-trials"],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "odr"])
+    def test_count_above_its_limit_is_schema_invalid(
+        self, inputs, tmp_path, capsys, command, section, key, limit, count
+    ):
+        data = copy.deepcopy(TINY)
+        data[section][key] = limit + 1 if count is None else count
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(path), "--poses", inputs["poses"], "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error[SCHEMA_INVALID]" in err and key in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
     def test_out_that_cannot_be_created_is_usage_error(self, inputs, tmp_path, capsys, under):
         blocker = tmp_path / "taken"
@@ -516,8 +541,11 @@ class TestInputsCheckedBeforeOut:
             ["evaluate", "--poses", "{poses}", "--threads", "-2"],
             ["optimize", "--threads", "0"],
             ["sweep", "--counts", "1", "--threads", "-1"],
+            ["optimize", "--threads", str(cli.MAX_THREADS + 1)],
+            ["odr", "--poses", "{poses}", "--threads", "1000000000"],
         ],
-        ids=["odr-scatter", "odr-threads", "evaluate-threads", "optimize-threads", "sweep-threads"],
+        ids=["odr-scatter", "odr-threads", "evaluate-threads", "optimize-threads", "sweep-threads",
+             "optimize-threads-above-cap", "odr-threads-10**9"],
     )
     def test_count_out_of_range_is_usage_error(self, inputs, tmp_path, capsys, argv):
         out = tmp_path / "o"

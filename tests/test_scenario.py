@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from lidarplace import cli
+from lidarplace.bees import MAX_BEES, MAX_ITERATIONS
 from lidarplace.geometry import MAX_VOXELS
+from lidarplace.odr import MAX_TRIALS
 from lidarplace.scenario import MAX_SENSORS, parse_angle, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -241,6 +243,21 @@ class TestNamedErrors:
             self.expect(minimal_scenario(lidars=lidars), "SCHEMA_INVALID")
         limit = [{"model": "b2", "count": MAX_SENSORS - 1}, {"model": "b2", "count": 1}]
         assert parse_scenario(minimal_scenario(lidars=limit)).num_lidars == MAX_SENSORS
+
+    @pytest.mark.parametrize(
+        "section, key, limit",
+        [("abc", "num_bees", MAX_BEES), ("abc", "max_iterations", MAX_ITERATIONS),
+         ("odr", "trials", MAX_TRIALS)],
+        ids=["num_bees", "max_iterations", "odr-trials"],
+    )
+    def test_count_sizing_an_allocation_above_limit_rejected(self, section, key, limit):
+        data = minimal_scenario(odr={"object_dims": [2.0, 2.0, 2.0]})
+        for count in (10**12, 1e300, limit + 1):
+            data[section][key] = count
+            self.expect(data, "SCHEMA_INVALID")
+        data[section][key] = limit
+        scenario = parse_scenario(data)
+        assert getattr(getattr(scenario, section), key) == limit
 
     def test_negative_seed(self):
         data = minimal_scenario()
