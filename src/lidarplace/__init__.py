@@ -39,7 +39,7 @@ from .scenario import (
     scenario_digest,
     with_seed,
 )
-from .segmentation import beam_digits, component_ids, first_level_labels, segment
+from .segmentation import beam_digits, component_ids, first_level_labels
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "rotation_matrix",
     "roulette_many",
     "scenario_digest",
-    "segment",
     "with_seed",
     "world_to_lidar",
 ]

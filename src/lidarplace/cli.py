@@ -466,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scenario_required=True):
         if scenario_required:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario RNG seed")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario RNG seed (>= 0)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--threads", type=int, default=1, help="objective evaluation threads")
+        threads_help = "objective evaluation threads (read by optimize and sweep only)"
+        p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p = sub.add_parser("optimize", help="search for the best sensor poses")
     common(p)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import segmentation
 from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
-from .segmentation import _code_runs, _run_components, _runs, segment
+from .segmentation import _code_runs, _run_components, _runs
 
 __all__ = [
     "PlacementReport",
@@ -113,7 +113,8 @@ def evaluate_placement(
     configs: Sequence[PoseConfig], models: Sequence[LidarModel], grid: VoxelGrid
 ) -> PlacementReport:
     """Per-subspace metrics table plus the max-VSR objective."""
-    labels, comp, count = segment(configs, models, grid)
+    labels = segmentation.first_level_labels(configs, models, grid)
+    comp, count = segmentation.component_ids(labels, grid)
     sizes, vol, sa, ratios = component_metrics(comp, count, grid)
     # Every voxel of a component carries its code, so any member will do.
     member = np.empty(count, dtype=np.int64)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseConfig, VoxelGrid, as_vec3
-from .segmentation import segment
+from .segmentation import component_ids, first_level_labels
 
 __all__ = [
     "ObjectSpec",
@@ -169,7 +169,7 @@ def estimate_odr(
     """
     obj = settings.obj
     region = obj.corner_region(grid.extent)
-    _, comp, _ = segment(configs, models, grid)
+    comp, _ = component_ids(first_level_labels(configs, models, grid), grid)
 
     corners = rng.uniform(region.minimum, region.maximum, (settings.trials, 3))
     counts = _occupied_counts(comp, grid, corners, corners + obj.dims)

@@ -8,8 +8,8 @@ are at most ``(B+1)^L`` distinct codes.  A digit is first guessed by binary
 search of ``z / r`` among the beam tangents, then stepped until it agrees
 with the exact rule ``tan(pitch_k) * r <= z``.  One sensor's digits over the
 grid (its digit column) depend only on its pose, its model and the grid, so
-columns are kept in a least-recently-used cache holding at most
-``COLUMN_CACHE_BYTES``; a colony move that changes one sensor's pose
+the last grid labelled keeps its columns in a least-recently-used cache of
+at most ``COLUMN_CACHE_BYTES``; a colony move that changes one sensor's pose
 recomputes only that sensor's column.
 
 Second level: voxels sharing a code are split into maximal face-connected
@@ -25,9 +25,8 @@ Component ids follow each component's first voxel in C order; the objective
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,12 +37,11 @@ __all__ = [
     "beam_digits",
     "first_level_labels",
     "component_ids",
-    "segment",
 ]
 
-# Bytes of digit columns the cache may hold.  A column takes one byte per
-# active voxel plus the overhead below, so this keeps ~660 columns of
-# av_rooftop_small (5 840 voxels) or ~88 of av_rooftop (47 040).
+# Bytes of digit columns the last grid labelled may keep.  A column takes one
+# byte per active voxel plus the overhead below, so this keeps ~660 columns
+# of av_rooftop_small (5 840 voxels) or ~88 of av_rooftop (47 040).
 COLUMN_CACHE_BYTES = 4 * 2**20
 # Charged per cached column on top of its data (key, array header, list node),
 # so that columns of tiny grids cannot pile up without bound.
@@ -85,57 +83,26 @@ def beam_digits(model: LidarModel, local_points) -> np.ndarray:
             d, rr, zz = digits[rows], r[rows], z[rows]
 
 
-class _ColumnCache:
-    """Thread-safe least-recently-used store of digit columns, bounded in bytes."""
+@functools.lru_cache(maxsize=1)
+def _grid_columns(grid: VoxelGrid):
+    """The digit-column function of ``grid``, with its own least-recently-used cache.
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.size = 0
-        self._columns: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _cost(column: np.ndarray) -> int:
-        return column.nbytes + _ENTRY_OVERHEAD_BYTES
-
-    def get(self, key):
-        with self._lock:
-            column = self._columns.get(key)
-            if column is not None:
-                self._columns.move_to_end(key)
-            return column
-
-    def put(self, key, column: np.ndarray) -> None:
-        cost = self._cost(column)
-        if cost > self.budget:
-            return
-        with self._lock:
-            if key in self._columns:
-                return
-            self._columns[key] = column
-            self.size += cost
-            while self.size > self.budget:
-                _, old = self._columns.popitem(last=False)
-                self.size -= self._cost(old)
-
-
-_columns = _ColumnCache(COLUMN_CACHE_BYTES)
-
-
-def _digit_column(pose: PoseConfig, model: LidarModel, grid: VoxelGrid) -> np.ndarray:
-    """Read-only ``uint8`` digits of every active voxel for one sensor, cached.
-
-    Models and grids compare by identity, so the key holds them themselves
-    (keeping them alive while cached) plus the exact bytes of the pose.
+    Only the last grid labelled keeps its columns.  Every column of one grid
+    takes the same bytes, so ``COLUMN_CACHE_BYTES`` becomes a count (0 caches
+    nothing).  Models compare by identity, so the key holds the model itself
+    plus the exact bytes of the pose, from which a miss rebuilds the pose.
     """
-    key = (pose.as_vector().tobytes(), model, grid)
-    column = _columns.get(key)
-    if column is None:
+
+    @functools.lru_cache(maxsize=COLUMN_CACHE_BYTES // (grid.num_active + _ENTRY_OVERHEAD_BYTES))
+    def column(pose_bytes: bytes, model: LidarModel) -> np.ndarray:
+        x, y, z, yaw, pitch, roll = np.frombuffer(pose_bytes)
+        pose = PoseConfig(position=[x, y, z], yaw=yaw, pitch=pitch, roll=roll)
         local = world_to_lidar(pose, grid.active_centers)
         # A model has at most MAX_BEAMS = 255 beams, so every digit fits in a byte.
-        column = beam_digits(model, local).astype(np.uint8)
-        column.flags.writeable = False
-        _columns.put(key, column)
+        digits = beam_digits(model, local).astype(np.uint8)
+        digits.flags.writeable = False
+        return digits
+
     return column
 
 
@@ -149,7 +116,7 @@ def first_level_labels(
     Row ``i`` holds the subspace code of ``grid.active_indices[i]``; digit
     ``j`` comes from transforming the voxel center into LiDAR ``j``'s frame
     and applying :func:`beam_digits`.  A column already computed for the same
-    pose, model and grid is taken from the column cache.  Raises
+    pose and model on the last grid labelled is taken from its cache.  Raises
     ``ValueError`` when the grid has no active voxel, since there is then no
     subspace to score or occupy.
     """
@@ -157,9 +124,10 @@ def first_level_labels(
         raise ValueError("need the same nonzero number of poses and models")
     if grid.num_active == 0:
         raise ValueError("ROI has no active voxels; nothing to segment")
+    column = _grid_columns(grid)
     labels = np.empty((grid.num_active, len(configs)), dtype=np.int64, order="F")
     for j, (pose, model) in enumerate(zip(configs, models)):
-        labels[:, j] = _digit_column(pose, model, grid)
+        labels[:, j] = column(pose.as_vector().tobytes(), model)
     return labels
 
 
@@ -278,14 +246,3 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     rank[np.argsort(first)] = np.arange(count)
     voxel_run = np.searchsorted(r.start, grid.padded_cells, side="right") - 1
     return rank[run_comp][voxel_run], count
-
-
-def segment(
-    configs: Sequence[PoseConfig],
-    models: Sequence[LidarModel],
-    grid: VoxelGrid,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both levels for one configuration: per-voxel codes, component ids, and the count."""
-    labels = first_level_labels(configs, models, grid)
-    comp, count = component_ids(labels, grid)
-    return labels, comp, count

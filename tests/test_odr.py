@@ -17,7 +17,7 @@ POSE = lp.PoseConfig(position=[4.0, 4.0, 3.0])
 
 
 def labeled_grid():
-    _, comp, count = lp.segment([POSE], [MODEL], GRID)
+    comp, count = lp.component_ids(lp.first_level_labels([POSE], [MODEL], GRID), GRID)
     return GRID, comp, count
 
 

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -119,11 +121,22 @@ def _uncached_labels(poses, models, grid):
     )
 
 
+@pytest.fixture
+def column_budget(monkeypatch):
+    """Sets ``COLUMN_CACHE_BYTES`` anew; no grid's column cache outlives the test."""
+
+    def set_budget(budget):
+        monkeypatch.setattr(segmentation, "COLUMN_CACHE_BYTES", budget)
+        segmentation._grid_columns.cache_clear()
+
+    set_budget(segmentation.COLUMN_CACHE_BYTES)
+    yield set_budget
+    segmentation._grid_columns.cache_clear()
+
+
+@pytest.mark.usefixtures("column_budget")
 class TestColumnCache:
-    def test_cold_and_warm_cache_agree(self, monkeypatch):
-        monkeypatch.setattr(
-            segmentation, "_columns", segmentation._ColumnCache(segmentation.COLUMN_CACHE_BYTES)
-        )
+    def test_cold_and_warm_cache_agree(self):
         grid, poses = _pose_grid()
         models = [TWO_BEAM, TWO_BEAM]
         cold = lp.first_level_labels(poses, models, grid)
@@ -134,47 +147,57 @@ class TestColumnCache:
         # equal pose values hit the cache even through a new PoseConfig
         again = [lp.PoseConfig(position=p.position, pitch=p.pitch, roll=p.roll) for p in poses]
         assert np.array_equal(lp.first_level_labels(again, models, grid), cold)
+        info = segmentation._grid_columns(grid).cache_info()
+        assert (info.hits, info.misses) == (4, 2)
 
     def test_cached_columns_are_read_only_bytes(self):
         grid, poses = _pose_grid()
-        column = segmentation._digit_column(poses[0], TWO_BEAM, grid)
+        columns = segmentation._grid_columns(grid)
+        key = poses[0].as_vector().tobytes()
+        column = columns(key, TWO_BEAM)
         assert column.dtype == np.uint8 and not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 1
-        assert segmentation._digit_column(poses[0], TWO_BEAM, grid) is column
+        assert columns(key, TWO_BEAM) is column
+        assert np.array_equal(column, _uncached_labels(poses[:1], [TWO_BEAM], grid)[:, 0])
 
     def test_model_and_grid_are_part_of_the_key(self):
         grid, poses = _pose_grid()
         other_grid = grid_of([8, 8, 4], [1, 1, 1])
         other_model = lp.LidarModel(beam_pitches=[-0.1, 0.05, 0.2])
-        base = segmentation._digit_column(poses[0], TWO_BEAM, grid)
-        assert segmentation._digit_column(poses[0], TWO_BEAM, other_grid) is not base
+        key = poses[0].as_vector().tobytes()
+        columns = segmentation._grid_columns(grid)
+        base = columns(key, TWO_BEAM)
         labels = lp.first_level_labels(poses[:1], [other_model], grid)
         assert np.array_equal(labels, _uncached_labels(poses[:1], [other_model], grid))
+        assert columns.cache_info().misses == 2
+        other = segmentation._grid_columns(other_grid)(key, TWO_BEAM)
+        assert other is not base and np.array_equal(other, base)
 
-    def test_never_exceeds_its_byte_budget(self, monkeypatch):
+    def test_never_exceeds_its_byte_budget(self, column_budget):
         budget = 20_000
-        cache = segmentation._ColumnCache(budget)
-        monkeypatch.setattr(segmentation, "_columns", cache)
+        column_budget(budget)
         grid, _ = _pose_grid()
         per_column = grid.num_active + segmentation._ENTRY_OVERHEAD_BYTES
+        columns = segmentation._grid_columns(grid)
+        assert columns.cache_info().maxsize == budget // per_column
         rng = np.random.default_rng(31)
         for _ in range(60):
             pose = lp.PoseConfig(position=rng.uniform(0, 8, 3), pitch=rng.uniform(-1, 1))
             labels = lp.first_level_labels([pose], [TWO_BEAM], grid)
             assert np.array_equal(labels, _uncached_labels([pose], [TWO_BEAM], grid))
-            assert cache.size <= budget
-        assert cache.size == (budget // per_column) * per_column
-        # a column larger than the whole budget is computed but never kept
-        tiny = segmentation._ColumnCache(100)
-        monkeypatch.setattr(segmentation, "_columns", tiny)
-        lp.first_level_labels([pose], [TWO_BEAM], grid)
-        assert tiny.size == 0
+            assert columns.cache_info().currsize * per_column <= budget
+        assert columns.cache_info().currsize == budget // per_column
+        # with a budget below one column, every column is computed but none kept
+        column_budget(100)
+        for _ in range(2):
+            labels = lp.first_level_labels([pose], [TWO_BEAM], grid)
+            assert np.array_equal(labels, _uncached_labels([pose], [TWO_BEAM], grid))
+        info = segmentation._grid_columns(grid).cache_info()
+        assert (info.maxsize, info.currsize, info.hits, info.misses) == (0, 0, 0, 2)
 
-    def test_concurrent_labelling_keeps_results_and_accounting(self, monkeypatch):
-        budget = 8 * (128 + segmentation._ENTRY_OVERHEAD_BYTES)
-        cache = segmentation._ColumnCache(budget)
-        monkeypatch.setattr(segmentation, "_columns", cache)
+    def test_concurrent_labelling_keeps_results_and_accounting(self, column_budget):
+        column_budget(8 * (128 + segmentation._ENTRY_OVERHEAD_BYTES))
         grid = grid_of([8, 4, 4], [1, 1, 1])
         rng = np.random.default_rng(33)
         poses = [
@@ -203,18 +226,35 @@ class TestColumnCache:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert mismatches == []
-        held = sum(cache._cost(c) for c in cache._columns.values())
-        assert cache.size == held <= budget
+        info = segmentation._grid_columns(grid).cache_info()
+        assert info.currsize <= info.maxsize == 8
 
-    def test_least_recently_used_column_goes_first(self):
-        cache = segmentation._ColumnCache(3 * (10 + segmentation._ENTRY_OVERHEAD_BYTES))
-        columns = {key: np.full(10, key, dtype=np.uint8) for key in range(4)}
-        for key in range(3):
-            cache.put(key, columns[key])
-        assert cache.get(0) is columns[0]  # 0 is now the most recent
-        cache.put(3, columns[3])
-        assert cache.get(1) is None
-        assert all(cache.get(key) is columns[key] for key in (0, 2, 3))
+    def test_least_recently_used_column_goes_first(self, column_budget):
+        grid, _ = _pose_grid()
+        column_budget(3 * (grid.num_active + segmentation._ENTRY_OVERHEAD_BYTES))
+        poses = [lp.PoseConfig(position=[k + 0.5, 2.5, 3.0]) for k in range(4)]
+
+        def misses_after(k):
+            lp.first_level_labels([poses[k]], [TWO_BEAM], grid)
+            return segmentation._grid_columns(grid).cache_info().misses
+
+        assert [misses_after(k) for k in (0, 1, 2)] == [1, 2, 3]
+        assert misses_after(0) == 3  # 0 is now the most recent
+        assert misses_after(3) == 4  # and 1 the least, so it goes
+        assert [misses_after(k) for k in (0, 2, 3)] == [4, 4, 4]
+        assert misses_after(1) == 5
+
+    def test_discarded_grids_are_not_kept_alive(self):
+        pose = lp.PoseConfig(position=[2.0, 2.0, 1.0])
+        refs = []
+        for _ in range(30):
+            grid = grid_of([4, 4, 2], [1, 1, 1])
+            lp.first_level_labels([pose], [TWO_BEAM], grid)
+            refs.append(weakref.ref(grid))
+            del grid
+        gc.collect()
+        # only the last grid labelled keeps a column cache
+        assert sum(ref() is not None for ref in refs) <= 1
 
 
 class TestFirstLevelLabels:
