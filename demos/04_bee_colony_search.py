@@ -31,19 +31,15 @@ print(f"\nplacement search: {len(models)} sensors, grid {grid.dims}, "
       f"{scenario.abc.num_bees} bees x {scenario.abc.max_iterations} iterations")
 
 start = time.perf_counter()
-result = lp.optimize(
-    lp.make_objective(models, grid),
-    lp.decision_bounds(scenario.bounds, len(models)),
-    scenario.abc,
-)
+poses, result = lp.search_placement(models, grid, scenario.bounds, scenario.abc)
 print(f"finished in {time.perf_counter() - start:.1f} s")
 print(f"best max VSR: {result.best_cost:.4f} m")
-for i, pose in enumerate(lp.poses_from_vector(result.best_solution, len(models))):
+for i, pose in enumerate(poses):
     x, y, z = pose.position
     print(f"  sensor {i}: x={x:.2f} y={y:.2f} z={z:.2f} "
           f"pitch={math.degrees(pose.pitch):.1f}deg roll={math.degrees(pose.roll):.1f}deg")
 
-best, mean = result.history_best, result.history_mean
+best, mean = result.history[:, 0], result.history[:, 1]
 print(f"best curve: {best[0]:.4f} -> {best[-1]:.4f} (never rises: "
       f"{bool(np.all(np.diff(best) <= 0))})")
 print(f"population mean: {mean[0]:.4f} -> {mean[-1]:.4f}")

@@ -12,9 +12,9 @@ from .cost import (
     component_metrics,
     decision_bounds,
     evaluate_placement,
-    make_objective,
     max_vsr,
     poses_from_vector,
+    search_placement,
 )
 from .geometry import (
     Box,
@@ -29,7 +29,7 @@ from .geometry import (
     rotation_matrix,
     world_to_lidar,
 )
-from .odr import ObjectSpec, OdrReport, OdrSettings, estimate_odr
+from .odr import ObjectSpec, OdrReport, OdrSettings, estimate_odr, vsr_odr_scatter
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -71,7 +71,6 @@ __all__ = [
     "fitness",
     "lidar_to_world",
     "load_scenario",
-    "make_objective",
     "max_vsr",
     "optimize",
     "parse_scenario",
@@ -80,6 +79,8 @@ __all__ = [
     "rotation_matrix",
     "roulette_many",
     "scenario_digest",
+    "search_placement",
+    "vsr_odr_scatter",
     "with_seed",
     "world_to_lidar",
 ]

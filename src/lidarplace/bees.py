@@ -93,14 +93,6 @@ class SolveResult:
     stagnation: np.ndarray = field(repr=False)
     scout_counts: np.ndarray = field(repr=False)
 
-    @property
-    def history_best(self) -> np.ndarray:
-        return self.history[:, 0]
-
-    @property
-    def history_mean(self) -> np.ndarray:
-        return self.history[:, 1]
-
 
 def fitness(cost):
     """Map non-negative costs to fitness ``1 / (1 + cost)`` in (0, 1], elementwise."""

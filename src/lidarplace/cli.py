@@ -31,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bees, cost
+from . import cost
 from .geometry import PoseConfig
-from .odr import estimate_odr
+from .odr import estimate_odr, vsr_odr_scatter
 from .scenario import (
     MAX_SENSORS,
     Scenario,
@@ -129,10 +129,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_convergence_csv(path: Path, history: np.ndarray) -> None:
-    lines = ["iter,best,mean"]
-    for i in range(history.shape[0]):
-        lines.append(f"{i},{_fmt(history[i, 0])},{_fmt(history[i, 1])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{i},{_fmt(best)},{_fmt(mean)}" for i, (best, mean) in enumerate(history.tolist()))
+    _write_text(path, "\n".join(["iter,best,mean", *rows]) + "\n")
 
 
 def _component_color(component: int) -> tuple[int, int, int]:
@@ -215,6 +213,11 @@ def _load_poses_file(path_str: str) -> tuple[PoseConfig, ...]:
     return tuple(parse_pose(entry, f"poses[{i}]") for i, entry in enumerate(data))
 
 
+def _check_pose_count(poses, models, code: str) -> None:
+    if len(poses) != len(models):
+        raise CliError(code, f"scenario places {len(models)} sensors but got {len(poses)} poses")
+
+
 def _warn_out_of_bounds(poses, bounds) -> None:
     for i, pose in enumerate(poses):
         if not bounds.contains(pose):
@@ -233,15 +236,11 @@ def cmd_optimize(args) -> int:
     models = scenario.model_sequence()
 
     started = time.perf_counter()
-    result = bees.optimize(
-        cost.make_objective(models, grid),
-        cost.decision_bounds(scenario.bounds, len(models)),
-        scenario.abc,
-        threads=args.threads,
+    poses, result = cost.search_placement(
+        models, grid, scenario.bounds, scenario.abc, threads=args.threads
     )
     duration = time.perf_counter() - started
 
-    poses = cost.poses_from_vector(result.best_solution, len(models))
     report = cost.evaluate_placement(poses, models, grid)
     csv_path, ply_path = _write_voxel_export(out, grid, report)
     _write_convergence_csv(out / "convergence.csv", result.history)
@@ -274,11 +273,7 @@ def cmd_evaluate(args) -> int:
     scenario = _load_effective_scenario(args)
     poses = _load_poses_file(args.poses)
     models = scenario.model_sequence()
-    if len(poses) != len(models):
-        raise CliError(
-            "POSES_INVALID",
-            f"scenario places {len(models)} sensors but poses file holds {len(poses)}",
-        )
+    _check_pose_count(poses, models, "POSES_INVALID")
     out = _out_dir(args)
     _warn_out_of_bounds(poses, scenario.bounds)
 
@@ -330,12 +325,8 @@ def cmd_sweep(args) -> int:
         for count in counts:
             cell = replace(scenario, lidars=((name, count),))
             try:
-                models = cell.model_sequence()
-                result = bees.optimize(
-                    cost.make_objective(models, cell.grid),
-                    cost.decision_bounds(cell.bounds, len(models)),
-                    cell.abc,
-                    threads=args.threads,
+                _, result = cost.search_placement(
+                    cell.model_sequence(), cell.grid, cell.bounds, cell.abc, threads=args.threads
                 )
                 rows.append(f"{name},{count},{_fmt(result.best_cost)}")
                 best_by_count.append((count, result.best_cost))
@@ -387,11 +378,7 @@ def cmd_odr(args) -> int:
         poses, _ = _poses_from_record(args.record)
     else:
         raise CliError("POSES_MISSING", "odr needs --poses or --record", EXIT_USAGE)
-    if len(poses) != len(models):
-        raise CliError(
-            "POSES_INVALID",
-            f"scenario places {len(models)} sensors but got {len(poses)} poses",
-        )
+    _check_pose_count(poses, models, "POSES_INVALID")
     out = _out_dir(args)
     grid = scenario.grid
 
@@ -408,20 +395,8 @@ def cmd_odr(args) -> int:
     }
 
     if args.scatter:
-        rows = ["max_vsr,odr"]
-
-        def child_rng(i):
-            # Child i of SeedSequence(seed).spawn(...), built only when needed.
-            return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-
-        config_rng = child_rng(0)
-        lower, upper = cost.decision_bounds(scenario.bounds, len(models))
-        for s in range(args.scatter):
-            vec = config_rng.uniform(lower, upper)
-            sample_poses = cost.poses_from_vector(vec, len(models))
-            sample_vsr = cost.max_vsr(sample_poses, models, grid)
-            sample = estimate_odr(sample_poses, models, grid, settings, child_rng(s + 1))
-            rows.append(f"{_fmt(sample_vsr)},{_fmt(sample.odr)}")
+        points = vsr_odr_scatter(models, grid, scenario.bounds, settings, seed, args.scatter)
+        rows = ["max_vsr,odr", *(f"{_fmt(vsr)},{_fmt(odr)}" for vsr, odr in points)]
         _write_text(out / "vsr_odr.csv", "\n".join(rows) + "\n")
         payload["files"] = {"scatter": "vsr_odr.csv"}
         print(f"wrote {args.scatter}-point VSR/ODR scatter to {out / 'vsr_odr.csv'}")
@@ -436,10 +411,13 @@ def cmd_odr(args) -> int:
 
 def cmd_export_voxels(args) -> int:
     poses, scenario_data = _poses_from_record(args.record)
-    scenario = with_seed(_parse_record_scenario(scenario_data), args.seed)
+    try:
+        scenario = parse_scenario(scenario_data)
+    except ScenarioError as exc:
+        raise CliError("RECORD_INVALID", f"record scenario invalid: {exc}") from exc
+    scenario = with_seed(scenario, args.seed)
     models = scenario.model_sequence()
-    if len(poses) != len(models):
-        raise CliError("RECORD_INVALID", "record poses do not match its scenario")
+    _check_pose_count(poses, models, "RECORD_INVALID")
     out = _out_dir(args)
     grid = scenario.grid
     report = cost.evaluate_placement(poses, models, grid)
@@ -447,13 +425,6 @@ def cmd_export_voxels(args) -> int:
     print(f"exported {grid.num_active} voxels over {report.vsr.size} subspaces")
     print(f"wrote {csv_path} and {ply_path}")
     return EXIT_OK
-
-
-def _parse_record_scenario(data) -> Scenario:
-    try:
-        return parse_scenario(data)
-    except ScenarioError as exc:
-        raise CliError("RECORD_INVALID", f"record scenario invalid: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

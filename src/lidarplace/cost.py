@@ -12,20 +12,20 @@ voxels holds ``n - 1`` y face pairs.
 
 The placement objective is the maximum volume-to-surface-area ratio (VSR)
 over all subspaces; ``3 * VSR`` estimates the radius of the largest sphere
-that fits inside, so minimizing the maximum VSR shrinks the worst blind spot.
-:func:`evaluate_placement` returns the whole subspace table as the columns of
-a :class:`PlacementReport`: each component's code plus the
-:func:`component_metrics` rows.
+that fits inside, so minimizing the maximum VSR, as :func:`search_placement`
+does, shrinks the worst blind spot.  :func:`evaluate_placement` returns the
+whole subspace table as the columns of a :class:`PlacementReport`: each
+component's code plus the :func:`component_metrics` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import segmentation
+from . import bees, segmentation
 from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
 from .segmentation import _code_runs, _run_components, _runs
 
@@ -36,7 +36,7 @@ __all__ = [
     "evaluate_placement",
     "poses_from_vector",
     "decision_bounds",
-    "make_objective",
+    "search_placement",
 ]
 
 
@@ -125,8 +125,9 @@ def evaluate_placement(
 def poses_from_vector(vector, num_lidars: int) -> tuple[PoseConfig, ...]:
     """Decode an optimizer decision vector into poses.
 
-    Each LiDAR contributes five variables ``(x, y, z, pitch, roll)``; yaw is
-    fixed at zero because a spinning sensor covers all azimuths anyway.
+    Each LiDAR contributes five variables ``(x, y, z, pitch, roll)``.  Yaw is
+    held at zero: it turns the direction a tilted sensor leans, but pitch and
+    roll together already reach every tilt direction.
     """
     vec = np.asarray(vector, dtype=float)
     if vec.shape != (5 * num_lidars,):
@@ -154,13 +155,20 @@ def decision_bounds(bounds: PoseBounds, num_lidars: int) -> tuple[np.ndarray, np
     return np.tile(lo, num_lidars), np.tile(hi, num_lidars)
 
 
-def make_objective(
-    models: Sequence[LidarModel], grid: VoxelGrid
-) -> Callable[[np.ndarray], float]:
-    """Pure objective ``vector -> max VSR`` over a prebuilt grid."""
+def search_placement(
+    models: Sequence[LidarModel], grid: VoxelGrid, bounds: PoseBounds, params: bees.AbcParams,
+    threads: int = 1,
+) -> tuple[tuple[PoseConfig, ...], bees.SolveResult]:
+    """Bee-colony search for the poses of ``models`` with the smallest :func:`max_vsr`.
+
+    The colony searches the :func:`decision_bounds` box of ``bounds`` with
+    ``threads`` evaluation threads.  Returns the best poses and the colony's
+    result, whose ``best_cost`` is the max VSR of those poses.
+    """
     models = tuple(models)
 
     def objective(vector: np.ndarray) -> float:
         return max_vsr(poses_from_vector(vector, len(models)), models, grid)
 
-    return objective
+    result = bees.optimize(objective, decision_bounds(bounds, len(models)), params, threads=threads)
+    return poses_from_vector(result.best_solution, len(models)), result

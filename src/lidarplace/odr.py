@@ -17,7 +17,8 @@ first center ``>= lo`` to the last center ``<= hi``, found by binary search
 in the grid's own center coordinates (``VoxelGrid.axis_centers``).  Each
 box's block is gathered from the component ids laid on the grid (``-1``
 where no active voxel is) and its distinct ids are counted after a row-wise
-sort.
+sort.  :func:`vsr_odr_scatter` pairs the max VSR and the ODR of random
+placements.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseConfig, VoxelGrid, as_vec3
+from . import cost
+from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseBounds, PoseConfig, VoxelGrid, as_vec3
 from .segmentation import component_ids, first_level_labels
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "OdrSettings",
     "OdrReport",
     "estimate_odr",
+    "vsr_odr_scatter",
 ]
 
 
@@ -180,3 +183,25 @@ def estimate_odr(
         odr=detections / settings.trials,
         threshold=settings.threshold,
     )
+
+
+def vsr_odr_scatter(
+    models: Sequence[LidarModel], grid: VoxelGrid, bounds: PoseBounds, settings: OdrSettings,
+    seed: int, samples: int,
+) -> list[tuple[float, float]]:
+    """``(max_vsr, odr)`` of ``samples`` placements drawn uniformly from ``bounds``.
+
+    Child 0 of ``SeedSequence(seed)`` draws the placements and child ``i + 1``
+    sample ``i``'s trials; each child is built only when it is needed.
+    """
+    def child_rng(i):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+    config_rng = child_rng(0)
+    lower, upper = cost.decision_bounds(bounds, len(models))
+    points = []
+    for i in range(samples):
+        poses = cost.poses_from_vector(config_rng.uniform(lower, upper), len(models))
+        vsr = cost.max_vsr(poses, models, grid)
+        points.append((vsr, estimate_odr(poses, models, grid, settings, child_rng(i + 1)).odr))
+    return points

@@ -290,11 +290,13 @@ def parse_scenario(data: dict) -> Scenario:
 def read_json(path, code: str):
     """Parsed content of the JSON file at ``path``.
 
-    Text that is not UTF-8, not JSON, or nested too deeply to parse raises
-    :class:`ScenarioError` with ``code``, the code of the file's role.
+    An unreadable file, or text that is not UTF-8, not JSON, or nested too
+    deeply to parse, raises :class:`ScenarioError` with the role's ``code``.
     """
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioError(code, f"cannot read {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ScenarioError(code, f"{path} is not valid JSON: {exc}") from exc
 

@@ -249,3 +249,26 @@ def voxel_export_ref(centers, labels, comp):
         r, g, b = component_color_ref(int(ident))
         ply.append(f"{x} {y} {z} {r} {g} {b}")
     return "\n".join(csv) + "\n", "\n".join(ply) + "\n"
+
+
+def vsr_odr_scatter_ref(models, grid, bounds, settings, seed, samples):
+    """The VSR/ODR scatter loop as first written, spawning every seed up front.
+
+    Child 0 of ``SeedSequence(seed).spawn(samples + 1)`` draws the decision
+    vectors and child ``i + 1`` seeds sample ``i``'s trials.  Only the
+    sampling is independent here: each sample is scored by the library.
+    """
+    import numpy as np
+
+    import lidarplace as lp
+
+    seeds = np.random.SeedSequence(seed).spawn(samples + 1)
+    config_rng = np.random.default_rng(seeds[0])
+    lower, upper = lp.decision_bounds(bounds, len(models))
+    points = []
+    for i in range(samples):
+        poses = lp.poses_from_vector(config_rng.uniform(lower, upper), len(models))
+        vsr = lp.max_vsr(poses, models, grid)
+        report = lp.estimate_odr(poses, models, grid, settings, np.random.default_rng(seeds[i + 1]))
+        points.append((vsr, report.odr))
+    return points

@@ -195,11 +195,7 @@ def test_criterion_5_scaled_convergence_shape():
     models = scenario.model_sequence()
 
     started = time.perf_counter()
-    result = lp.optimize(
-        lp.make_objective(models, grid),
-        lp.decision_bounds(scenario.bounds, len(models)),
-        scenario.abc,
-    )
+    _, result = lp.search_placement(models, grid, scenario.bounds, scenario.abc)
     elapsed = time.perf_counter() - started
 
     best = result.history[:, 0]
@@ -232,11 +228,7 @@ def test_criterion_6_more_sensors_help_less_and_less():
                 abandonment_threshold=scenario.abc.abandonment_threshold,
                 rng_seed=seed,
             )
-            result = lp.optimize(
-                lp.make_objective([model] * count, grid),
-                lp.decision_bounds(scenario.bounds, count),
-                params,
-            )
+            _, result = lp.search_placement([model] * count, grid, scenario.bounds, params)
             bests.append(result.best_cost)
         medians.append(float(np.median(bests)))
     elapsed = time.perf_counter() - started
@@ -267,22 +259,12 @@ def test_criterion_7_vsr_anticorrelates_with_detection_rate():
     )
     test_object = lp.ObjectSpec(dims=[2.0, 2.0, 2.0])
     trial_settings = lp.OdrSettings(obj=test_object, trials=500, threshold=1)
-    lower, upper = lp.decision_bounds(bounds, len(models))
 
     started = time.perf_counter()
-    seeds = np.random.SeedSequence(7).spawn(21)
-    config_rng = np.random.default_rng(seeds[0])
-    vsrs, odrs = [], []
-    for i in range(20):
-        poses = lp.poses_from_vector(config_rng.uniform(lower, upper), len(models))
-        vsrs.append(lp.max_vsr(poses, models, grid))
-        report = lp.estimate_odr(
-            poses, models, grid, trial_settings, np.random.default_rng(seeds[i + 1])
-        )
-        odrs.append(report.odr)
+    points = lp.vsr_odr_scatter(models, grid, bounds, trial_settings, seed=7, samples=20)
     elapsed = time.perf_counter() - started
 
-    rho = float(stats.spearmanr(vsrs, odrs).statistic)
+    rho = float(stats.spearmanr(*zip(*points)).statistic)
     assert rho < -0.3, f"Spearman correlation {rho:.3f} not below -0.3"
     assert elapsed < 600.0, f"criterion 7 runtime {elapsed:.1f}s exceeds 10 minutes"
     print(

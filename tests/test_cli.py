@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import json
 import math
 import os
@@ -492,6 +493,15 @@ class TestInputsCheckedBeforeOut:
         assert "error[OUT_INVALID]" in err and "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "keep"
 
+    @staticmethod
+    def _reading(role, path, inputs):
+        """A command that reads ``path`` as its ``role`` JSON file."""
+        return {
+            "scenario": ["evaluate", "--scenario", str(path), "--poses", inputs["poses"]],
+            "poses": ["evaluate", "--scenario", inputs["scenario"], "--poses", str(path)],
+            "record": ["odr", "--scenario", inputs["scenario"], "--record", str(path)],
+        }[role]
+
     @pytest.mark.parametrize("nested", [False, True], ids=["not-utf8", "nested-200000-deep"])
     @pytest.mark.parametrize(
         "role, code",
@@ -500,15 +510,36 @@ class TestInputsCheckedBeforeOut:
     def test_unparsable_json_is_the_files_error(self, inputs, tmp_path, capsys, nested, role, code):
         path = tmp_path / "bad.json"
         path.write_bytes(b"[" * 200_000 + b"]" * 200_000 if nested else b"\xff\xfe")
-        argv = {
-            "scenario": ["evaluate", "--scenario", str(path), "--poses", inputs["poses"]],
-            "poses": ["evaluate", "--scenario", inputs["scenario"], "--poses", str(path)],
-            "record": ["odr", "--scenario", inputs["scenario"], "--record", str(path)],
-        }[role]
         out = tmp_path / "o"
-        assert main([*argv, "--out", str(out)]) == 3
+        assert main([*self._reading(role, path, inputs), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"error[{code}]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "role, code",
+        [("scenario", "SCHEMA_INVALID"), ("poses", "POSES_INVALID"), ("record", "RECORD_INVALID")],
+    )
+    def test_unreadable_file_is_the_files_error(
+        self, inputs, tmp_path, capsys, monkeypatch, role, code
+    ):
+        # Permission bits do not stop a superuser from reading, so the read
+        # itself is made to fail.
+        path = tmp_path / "locked.json"
+        path.write_text("{}", encoding="utf-8")
+        read_text = Path.read_text
+
+        def refuse(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        out = tmp_path / "o"
+        assert main([*self._reading(role, path, inputs), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error[{code}]: cannot read {path}: {os.strerror(errno.EACCES)}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -413,10 +413,15 @@ class TestDecisionVector:
         assert lo.tolist() == [28, 9, 2.2, 0, 0] * 2
         assert hi.tolist() == [31, 11, 3, 3.1415, 0.0] * 2
 
-    def test_objective_closure(self):
-        roi = lp.RoiSpec(extent=[4, 4, 2], resolution=[1, 1, 1])
-        grid = lp.build_voxel_grid(roi)
-        model = lp.LidarModel(beam_pitches=[0.0])
-        objective = lp.make_objective([model], grid)
-        vec = np.array([2.0, 2.0, 1.5, 0.0, 0.0])
-        assert objective(vec) == lp.max_vsr(lp.poses_from_vector(vec, 1), [model], grid)
+    def test_search_placement_cost_is_max_vsr_of_its_poses(self):
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=[4, 4, 2], resolution=[1, 1, 1]))
+        models = [lp.LidarModel(beam_pitches=[0.0]), lp.LidarModel(beam_pitches=[-0.3, 0.3])]
+        bounds = lp.PoseBounds(
+            lower=lp.PoseConfig(position=[1, 1, 0.5]),
+            upper=lp.PoseConfig(position=[3, 3, 1.5], pitch=0.6, roll=0.3),
+        )
+        params = lp.AbcParams(num_bees=4, max_iterations=3, rng_seed=2)
+        poses, result = lp.search_placement(models, grid, bounds, params)
+        decoded = lp.poses_from_vector(result.best_solution, 2)
+        assert [p.as_vector().tolist() for p in poses] == [p.as_vector().tolist() for p in decoded]
+        assert result.best_cost.hex() == lp.max_vsr(poses, models, grid).hex()

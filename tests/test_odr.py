@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import lidarplace as lp
 from grids import blob_grid
 from lidarplace import odr
-from oracles import occupied_subspaces_ref
+from oracles import occupied_subspaces_ref, vsr_odr_scatter_ref
 
 GRID = lp.build_voxel_grid(lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1]))
 MODEL = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
@@ -278,3 +278,19 @@ class TestEstimateOdr:
         settings = lp.OdrSettings(lp.ObjectSpec(dims=[1, 1, 1]), 10, 1)
         with pytest.raises(ValueError, match="no active voxels"):
             lp.estimate_odr([POSE], [MODEL], grid, settings, np.random.default_rng(0))
+
+
+class TestVsrOdrScatter:
+    @pytest.mark.parametrize("samples", [0, 1, 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_matches_the_loop_it_replaces(self, seed, samples):
+        models = [MODEL, lp.LidarModel.evenly_spaced(4, -0.5, 0.5)]
+        bounds = lp.PoseBounds(
+            lower=lp.PoseConfig(position=[2, 2, 2.5]),
+            upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
+        )
+        settings = lp.OdrSettings(lp.ObjectSpec(dims=[2.0, 2.0, 2.0]), 60, 1)
+        points = lp.vsr_odr_scatter(models, GRID, bounds, settings, seed, samples)
+        expected = vsr_odr_scatter_ref(models, GRID, bounds, settings, seed, samples)
+        # bit for bit: the same floats, not just equal within rounding
+        assert [(v.hex(), o.hex()) for v, o in points] == [(v.hex(), o.hex()) for v, o in expected]

@@ -283,6 +283,19 @@ class TestFirstLevelLabels:
         distinct = {tuple(row) for row in labels.tolist()}
         assert len(distinct) <= (TWO_BEAM.num_beams + 1) ** 2
 
+    def test_yaw_turns_only_a_tilted_sensor(self):
+        # Yaw spins an untilted sensor about its own axis, which leaves every
+        # band in place; on a tilted one it turns the direction of the lean.
+        grid = grid_of([8, 8, 4], [1, 1, 1])
+        model = lp.LidarModel.evenly_spaced(4, -0.5, 0.5)
+
+        def labels(yaw, pitch):
+            pose = lp.PoseConfig(position=[4.0, 4.0, 3.0], yaw=yaw, pitch=pitch)
+            return lp.first_level_labels([pose], [model], grid)
+
+        assert np.array_equal(labels(0.0, 0.0), labels(1.0, 0.0))
+        assert not np.array_equal(labels(0.0, 0.3), labels(1.0, 0.3))
+
     def test_length_mismatch_rejected(self):
         grid = grid_of([2, 2, 2], [1, 1, 1])
         with pytest.raises(ValueError):
