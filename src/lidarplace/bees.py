@@ -10,8 +10,8 @@ iteration runs three phases:
 * scout: a source that has failed ``abandonment_threshold`` times in a row is
   abandoned and resampled uniformly from the box.
 
-The colony is held as columns, one row per source (solution, cost, fitness,
-failure streak, scout count); ``optimize`` returns them read-only.
+The colony is held as columns, one row per source (solution, cost, failure
+streak, scout count); ``optimize`` returns them read-only.
 
 Fitness is ``1 / (1 + cost)``, so lower cost means proportionally more
 onlooker attention.  Candidate moves are clamped into the box, the global
@@ -184,14 +184,15 @@ def optimize(
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     apply = map if pool is None else pool.map
 
-    def evaluate(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Costs of the batch's rows and their fitness; rejects invalid costs."""
+    def evaluate(batch: np.ndarray) -> np.ndarray:
+        """Costs of the batch's rows; :func:`fitness` rejects invalid ones."""
         costs = np.fromiter(apply(objective, batch), dtype=float, count=len(batch))
-        return costs, fitness(costs)
+        fitness(costs)
+        return costs
 
     try:
         solutions = rng.uniform(lower, upper, (tau, dim))
-        costs, fits = evaluate(solutions)
+        costs = evaluate(solutions)
         stagnation = np.zeros(tau, dtype=np.int64)
         scout_counts = np.zeros(tau, dtype=np.int64)
         best = _improve_best(solutions, costs, (math.inf, None))
@@ -202,18 +203,17 @@ def optimize(
             # fitness-proportional retries.  Each phase builds its trials from
             # a snapshot of the colony and then applies greedy replacement.
             for onlooker in (False, True):
-                targets = roulette_many(fits, rng, tau) if onlooker else np.arange(tau)
+                targets = roulette_many(fitness(costs), rng, tau) if onlooker else np.arange(tau)
                 partners = _partners(rng, targets, tau)
                 trials = propose(
                     solutions[targets], solutions[partners], rng, lower, upper,
                     params.mutate_all_dims,
                 )
-                trial_costs, trial_fits = evaluate(trials)
+                trial_costs = evaluate(trials)
                 for t, i in enumerate(targets):
                     if trial_costs[t] < costs[i]:
                         solutions[i] = trials[t]
                         costs[i] = trial_costs[t]
-                        fits[i] = trial_fits[t]
                         stagnation[i] = 0
                     else:
                         stagnation[i] += 1
@@ -225,7 +225,7 @@ def optimize(
             if scouts.size:
                 fresh = rng.uniform(lower, upper, (scouts.size, dim))
                 solutions[scouts] = fresh
-                costs[scouts], fits[scouts] = evaluate(fresh)
+                costs[scouts] = evaluate(fresh)
                 stagnation[scouts] = 0
                 scout_counts[scouts] += 1
                 best = _improve_best(solutions, costs, best)

@@ -367,18 +367,20 @@ def _poses_from_record(path_str: str) -> tuple[tuple[PoseConfig, ...], dict]:
 
 
 def cmd_odr(args) -> int:
+    if args.poses is not None and args.record is not None:
+        raise CliError("ARG_CONFLICT", "odr takes --poses or --record, not both", EXIT_USAGE)
     scenario = _load_effective_scenario(args)
     models = scenario.model_sequence()
     settings = scenario.odr
     seed = scenario.abc.rng_seed
 
     if args.poses:
-        poses = _load_poses_file(args.poses)
+        poses, code = _load_poses_file(args.poses), "POSES_INVALID"
     elif args.record:
-        poses, _ = _poses_from_record(args.record)
+        poses, code = _poses_from_record(args.record)[0], "RECORD_INVALID"
     else:
         raise CliError("POSES_MISSING", "odr needs --poses or --record", EXIT_USAGE)
-    _check_pose_count(poses, models, "POSES_INVALID")
+    _check_pose_count(poses, models, code)
     out = _out_dir(args)
     grid = scenario.grid
 
@@ -459,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odr", help="estimate object detection rate for poses")
     common(p)
-    p.add_argument("--poses", default=None, help="JSON file with one pose per sensor")
-    p.add_argument("--record", default=None, help="results.json from an optimize run")
+    p.add_argument("--poses", default=None, help="JSON file with one pose per sensor (or --record)")
+    p.add_argument("--record", default=None, help="results.json from an optimize run (or --poses)")
     p.add_argument(
         "--scatter",
         type=int,

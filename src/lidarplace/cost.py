@@ -146,10 +146,13 @@ def poses_from_vector(vector, num_lidars: int) -> tuple[PoseConfig, ...]:
 def decision_bounds(bounds: PoseBounds, num_lidars: int) -> tuple[np.ndarray, np.ndarray]:
     """Box bounds for the stacked ``(x, y, z, pitch, roll)`` decision vector.
 
-    The yaw components of ``bounds`` are ignored (yaw is not optimized).
+    Yaw is not optimized but held at 0 (see :func:`poses_from_vector`), so the
+    yaw range of ``bounds`` must include 0.
     """
     if num_lidars < 1:
         raise ValueError("num_lidars must be >= 1")
+    if not bounds.lower.yaw <= 0.0 <= bounds.upper.yaw:
+        raise ValueError("yaw is held at 0, so the yaw range must include 0")
     lo = np.concatenate([bounds.lower.position, [bounds.lower.pitch, bounds.lower.roll]])
     hi = np.concatenate([bounds.upper.position, [bounds.upper.pitch, bounds.upper.roll]])
     return np.tile(lo, num_lidars), np.tile(hi, num_lidars)

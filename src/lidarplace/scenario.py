@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bees import AbcParams
+from .cost import decision_bounds
 from .geometry import (
     Box,
     GridNotDivisibleError,
@@ -247,6 +248,7 @@ def parse_scenario(data: dict) -> Scenario:
     lower = _parse_bound_vector(_require(bounds_data, "lower", "bounds"), "bounds.lower")
     upper = _parse_bound_vector(_require(bounds_data, "upper", "bounds"), "bounds.upper")
     bounds = _build(PoseBounds, "bounds", lower=lower, upper=upper, code="BOUNDS_INVERTED")
+    _build(decision_bounds, "bounds", bounds, 1)
 
     abc_data = _require(data, "abc", "scenario")
     abc = _build(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,19 @@ def sphere(x):
 
 # SolveResult's read-only arrays: the history and the final colony's columns.
 COLONY_ARRAYS = ("history", "solutions", "costs", "stagnation", "scout_counts")
+
+
+class _NanOnCall:
+    """Objective that returns NaN on call number ``nan_call`` and ``cost(x)`` otherwise."""
+
+    def __init__(self, nan_call, cost):
+        self.nan_call = nan_call
+        self.cost = cost
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return math.nan if self.calls == self.nan_call else self.cost(x)
 
 
 class _FixedDraws:
@@ -216,6 +230,26 @@ class TestOptimize:
         params = lp.AbcParams(num_bees=4, max_iterations=5, rng_seed=8)
         with pytest.raises(ValueError):
             lp.optimize(lambda x: -1.0, self.BOUNDS, params)
+
+    @pytest.mark.parametrize("call, batch_end", [(7, 8), (11, 12)], ids=["employed", "onlooker"])
+    def test_nan_trial_cost_rejected(self, call, batch_end):
+        # Four bees: calls 1-4 score the first colony, 5-8 the employed
+        # trials and 9-12 the onlooker trials.  The batch holding the NaN is
+        # the one rejected.
+        params = lp.AbcParams(num_bees=4, max_iterations=1, rng_seed=8)
+        objective = _NanOnCall(call, sphere)
+        with pytest.raises(ValueError, match="finite"):
+            lp.optimize(objective, self.BOUNDS, params)
+        assert objective.calls == batch_end
+
+    def test_nan_scout_cost_rejected(self):
+        # A constant cost never improves, so with a threshold of 1 all four
+        # sources turn scout after the first 12 calls.
+        params = lp.AbcParams(num_bees=4, max_iterations=1, abandonment_threshold=1, rng_seed=8)
+        objective = _NanOnCall(13, lambda x: 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            lp.optimize(objective, self.BOUNDS, params)
+        assert objective.calls == 16
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

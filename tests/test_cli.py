@@ -96,6 +96,16 @@ class TestOptimize:
         assert code == 3
         assert "error[GRID_NOT_DIVISIBLE]" in capsys.readouterr().err
 
+    def test_yaw_range_excluding_zero_fails_before_out_is_created(self, tmp_path, capsys):
+        bad = copy.deepcopy(TINY)
+        bad["bounds"]["lower"][3], bad["bounds"]["upper"][3] = 0.5, 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["optimize", "--scenario", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error[SCHEMA_INVALID]" in err and "yaw" in err
+        assert not out.exists()
 
     def test_negative_seed_fails_before_out_is_created(self, tiny_scenario, tmp_path, capsys):
         out = tmp_path / "o"
@@ -401,6 +411,7 @@ class TestInputsCheckedBeforeOut:
             "not_a_list": {"position": [4.0, 4.0, 3.0]},
             "two_poses": [{"position": [3, 3, 3]}, {"position": [4, 4, 3]}],
             "bad_record": 5,
+            "two_pose_record": {"best_poses": [{"position": [3, 3, 3]}] * 2, "scenario": {}},
         }.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(content), encoding="utf-8")
@@ -419,6 +430,8 @@ class TestInputsCheckedBeforeOut:
             (["odr", "--poses", "{two_poses}"], "POSES_INVALID", 3),
             (["odr", "--record", "{bad_record}"], "RECORD_INVALID", 3),
             (["odr", "--record", "{missing}"], "RECORD_MISSING", 4),
+            (["odr", "--record", "{two_pose_record}"], "RECORD_INVALID", 3),
+            (["odr", "--poses", "{poses}", "--record", "{missing}"], "ARG_CONFLICT", 2),
             (["sweep", "--counts", ""], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", f"1,{MAX_SENSORS + 1}"], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", str(2**63)], "SWEEP_EMPTY", 2),
@@ -431,7 +444,8 @@ class TestInputsCheckedBeforeOut:
         ids=[
             "evaluate-poses-missing", "evaluate-poses-not-a-list", "evaluate-pose-count",
             "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
-            "odr-record-invalid", "odr-record-missing", "sweep-empty", "sweep-count-above-limit",
+            "odr-record-invalid", "odr-record-missing", "odr-record-pose-count",
+            "odr-poses-and-record", "sweep-empty", "sweep-count-above-limit",
             "sweep-count-2**63", "sweep-unknown-model",
             "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
             "odr-record-directory",

@@ -413,6 +413,15 @@ class TestDecisionVector:
         assert lo.tolist() == [28, 9, 2.2, 0, 0] * 2
         assert hi.tolist() == [31, 11, 3, 3.1415, 0.0] * 2
 
+    @pytest.mark.parametrize("yaw", [(0.5, 1.0), (-1.0, -0.5)])
+    def test_bounds_reject_a_yaw_range_excluding_zero(self, yaw):
+        bounds = lp.PoseBounds(
+            lower=lp.PoseConfig(position=[28, 9, 2.2], yaw=yaw[0]),
+            upper=lp.PoseConfig(position=[31, 11, 3], yaw=yaw[1]),
+        )
+        with pytest.raises(ValueError, match="yaw"):
+            lp.decision_bounds(bounds, 1)
+
     def test_search_placement_cost_is_max_vsr_of_its_poses(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[4, 4, 2], resolution=[1, 1, 1]))
         models = [lp.LidarModel(beam_pitches=[0.0]), lp.LidarModel(beam_pitches=[-0.3, 0.3])]

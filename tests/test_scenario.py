@@ -180,6 +180,19 @@ class TestNamedErrors:
         }
         self.expect(data, "BOUNDS_INVERTED")
 
+    @pytest.mark.parametrize("yaw", [[0.5, 1.0], [-1.0, -0.5]])
+    def test_yaw_range_excluding_zero(self, yaw):
+        data = minimal_scenario()
+        data["bounds"]["lower"][3], data["bounds"]["upper"][3] = yaw
+        self.expect(data, "SCHEMA_INVALID")
+
+    @pytest.mark.parametrize("yaw", [[0, 0], [-0.1, 0.1]])
+    def test_yaw_range_including_zero_parses(self, yaw):
+        data = minimal_scenario()
+        data["bounds"]["lower"][3], data["bounds"]["upper"][3] = yaw
+        bounds = parse_scenario(data).bounds
+        assert [bounds.lower.yaw, bounds.upper.yaw] == yaw
+
     def test_unknown_model(self):
         self.expect(minimal_scenario(lidars=[{"model": "nope"}]), "MODEL_UNKNOWN")
 
