@@ -311,9 +311,12 @@ def cmd_sweep(args) -> int:
     if any(not 1 <= c <= MAX_SENSORS for c in counts):
         raise CliError("SWEEP_EMPTY", f"--counts entries must lie in [1, {MAX_SENSORS}]", EXIT_USAGE)
 
-    model_names = (
-        [m for m in args.models.split(",") if m] if args.models else sorted(scenario.models)
-    )
+    if args.models is None:
+        model_names = sorted(scenario.models)
+    else:
+        model_names = [m for m in args.models.split(",") if m]
+        if not model_names:
+            raise CliError("SWEEP_EMPTY", "--models must name at least one model", EXIT_USAGE)
     for name in model_names:
         if name not in scenario.models:
             raise CliError("MODEL_UNKNOWN", f"--models references unknown model {name!r}")
@@ -324,16 +327,12 @@ def cmd_sweep(args) -> int:
         best_by_count = []
         for count in counts:
             cell = replace(scenario, lidars=((name, count),))
-            try:
-                _, result = cost.search_placement(
-                    cell.model_sequence(), cell.grid, cell.bounds, cell.abc, threads=args.threads
-                )
-                rows.append(f"{name},{count},{_fmt(result.best_cost)}")
-                best_by_count.append((count, result.best_cost))
-                print(f"{name} x{count}: best max VSR {result.best_cost:.6f}")
-            except Exception as exc:  # keep sweeping; record the failure
-                rows.append(f"{name},{count},")
-                print(f"error[SWEEP_CELL]: {name} x{count} failed: {exc}", file=sys.stderr)
+            _, result = cost.search_placement(
+                cell.model_sequence(), cell.grid, cell.bounds, cell.abc, threads=args.threads
+            )
+            rows.append(f"{name},{count},{_fmt(result.best_cost)}")
+            best_by_count.append((count, result.best_cost))
+            print(f"{name} x{count}: best max VSR {result.best_cost:.6f}")
         # more sensors are expected to help; a rise is worth a look, not a stop
         ordered = sorted(best_by_count)
         for (c_a, v_a), (c_b, v_b) in zip(ordered, ordered[1:]):

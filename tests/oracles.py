@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 FACE_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
@@ -50,6 +52,14 @@ def beam_digit_ref(tangents, x, y, z):
         if tangents[k - 1] * r <= z < tangents[k] * r:
             return k
     raise AssertionError("band rules failed to assign a digit")
+
+
+def digit_column_ref(tangents, local_points):
+    """Band digit of each local point: the exact rule checked against every beam at once."""
+    p = np.asarray(local_points, dtype=float)
+    r = np.sqrt(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
+    z = p[:, 2]
+    return (np.asarray(tangents) * r[:, None] <= z[:, None]).sum(axis=1)
 
 
 def flood_fill_components(cells, order=None):
@@ -175,7 +185,6 @@ def voxel_grid_ref(dims, resolution, boxes=()):
     ``boxes`` holds ``(lo, hi)`` corner pairs; a voxel is inactive when its
     center lies in a closed box.
     """
-    import numpy as np
 
     res = np.asarray(resolution, dtype=float)
     ii, jj, kk = np.meshgrid(*(np.arange(n) for n in dims), indexing="ij")
@@ -194,7 +203,6 @@ def run_components_ref(n, src, dst):
     Returns the component count and each node's component, as
     ``scipy.sparse.csgraph.connected_components`` numbers them.
     """
-    import numpy as np
     from scipy import sparse
     from scipy.sparse import csgraph
 
@@ -258,7 +266,6 @@ def vsr_odr_scatter_ref(models, grid, bounds, settings, seed, samples):
     vectors and child ``i + 1`` seeds sample ``i``'s trials.  Only the
     sampling is independent here: each sample is scored by the library.
     """
-    import numpy as np
 
     import lidarplace as lp
 

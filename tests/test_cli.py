@@ -219,6 +219,18 @@ class TestSweep:
         assert code == 3
         assert "error[MODEL_UNKNOWN]" in capsys.readouterr().err
 
+    def test_failing_cell_stops_the_sweep(self, tiny_scenario, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("search failed")
+
+        monkeypatch.setattr(lp.cost, "search_placement", fail)
+        out = tmp_path / "sw"
+        code = main(["sweep", "--scenario", str(tiny_scenario), "--counts", "1,2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error[INVALID_VALUE]: search failed" in err and "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestOdr:
     def test_record_driven_odr(self, tiny_scenario, tmp_path):
@@ -436,6 +448,8 @@ class TestInputsCheckedBeforeOut:
             (["sweep", "--counts", f"1,{MAX_SENSORS + 1}"], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", str(2**63)], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", "ghost"], "MODEL_UNKNOWN", 3),
+            (["sweep", "--counts", "1", "--models", ","], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", "1", "--models", ""], "SWEEP_EMPTY", 2),
             (["optimize", "--scenario", "{directory}"], "SCENARIO_MISSING", 4),
             (["evaluate", "--poses", "{directory}"], "POSES_MISSING", 4),
             (["odr", "--poses", "{directory}"], "POSES_MISSING", 4),
@@ -446,7 +460,7 @@ class TestInputsCheckedBeforeOut:
             "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
             "odr-record-invalid", "odr-record-missing", "odr-record-pose-count",
             "odr-poses-and-record", "sweep-empty", "sweep-count-above-limit",
-            "sweep-count-2**63", "sweep-unknown-model",
+            "sweep-count-2**63", "sweep-unknown-model", "sweep-models-comma", "sweep-models-empty",
             "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
             "odr-record-directory",
         ],

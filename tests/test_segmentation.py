@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,16 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from lidarplace import segmentation
-from oracles import assert_valid_partition, beam_digit_ref, flood_fill_components, run_components_ref
+from oracles import (
+    assert_valid_partition,
+    beam_digit_ref,
+    digit_column_ref,
+    flood_fill_components,
+    run_components_ref,
+)
 
 TWO_BEAM = lp.LidarModel(beam_pitches=[math.radians(-15), math.radians(15)])
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def grid_of(extent, resolution, boxes=()):
@@ -79,6 +87,40 @@ PLANAR = st.floats(-10.0, 10.0) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-150, 1e150, -1e150]
 )
 AXIS_Z = (-0.0, 0.0, 5e-324, -5e-324)
+_STEEPEST = math.pi / 2 - 1e-9
+# Models at the limits of the bin table: the steepest pitches, a beam at pitch
+# exactly 0, one beam and the most beams, and tangents closer than a bin.
+EDGE_MODELS = [
+    pytest.param(lp.LidarModel.evenly_spaced(255, -_STEEPEST, _STEEPEST), id="255-steepest"),
+    pytest.param(lp.LidarModel.evenly_spaced(255, -0.3, 0.2), id="255-narrow"),
+    pytest.param(
+        lp.LidarModel.evenly_spaced(16, math.radians(-15), math.radians(15)), id="16-beam"
+    ),
+    pytest.param(lp.LidarModel(beam_pitches=[-_STEEPEST, 0.0, _STEEPEST]), id="3-steepest-and-0"),
+    pytest.param(lp.LidarModel(beam_pitches=[-0.3, 0.0, 0.3]), id="3-with-0"),
+    pytest.param(lp.LidarModel(beam_pitches=[0.0]), id="1-at-0"),
+    pytest.param(lp.LidarModel(beam_pitches=[_STEEPEST]), id="1-steepest"),
+    pytest.param(lp.LidarModel(beam_pitches=[-1.0]), id="1-at-minus-1"),
+    pytest.param(lp.LidarModel(beam_pitches=[0.5, np.nextafter(0.5, 1.0)]), id="2-one-ulp-apart"),
+    pytest.param(lp.LidarModel(beam_pitches=[0.0, 5e-324]), id="2-zero-and-subnormal"),
+]
+# Planar coordinates x of points (x, 0, z): zero and subnormal (both give
+# r = 0), the least that gives r > 0, tiny, ordinary and huge, ending on
+# either side of the tiny-r cutoff.
+EDGE_PLANAR = (
+    0.0,
+    5e-324,
+    1e-310,
+    math.sqrt(5e-324),
+    1e-160,
+    1e-3,
+    1.0,
+    3.7,
+    1e5,
+    1e150,
+    segmentation._TINY_R * (1 - 2.0**-20),
+    segmentation._TINY_R,
+)
 
 
 class TestBeamDigitEdges:
@@ -100,6 +142,38 @@ class TestBeamDigitEdges:
         model = lp.LidarModel(beam_pitches=[-0.3, 0.0, 0.3])
         points = [[0.0, 0.0, z] for z in AXIS_Z] + [[-0.0, -0.0, z] for z in AXIS_Z]
         assert lp.beam_digits(model, points).tolist() == [3, 3, 3, 0] * 2
+
+    @pytest.mark.parametrize("model", EDGE_MODELS)
+    def test_matches_oracle_at_cones_bin_edges_and_small_r(self, model):
+        tangents = model.beam_tangents.tolist()
+        table = segmentation._bin_table(model)
+        points = []
+        for x in EDGE_PLANAR:
+            r = math.sqrt(x * x)
+            for t in tangents:
+                on_cone = t * r
+                beside = np.nextafter(on_cone, [math.inf, -math.inf]).tolist()
+                points += [[x, 0.0, h] for h in (on_cone, *beside)]
+            points += [[x, 0.0, h] for h in (*AXIS_Z, 1e-300, -1e-300, 1.0, -1.0)]
+        # Quotients one ulp to each side of every bin edge of the table, at r = 1.
+        edges = table.low + np.arange(segmentation._DIGIT_BINS + 1) / table.scale
+        for side in (math.inf, -math.inf):
+            points += [[1.0, 0.0, q] for q in np.nextafter(edges, side)]
+        expected = [beam_digit_ref(tangents, *p) for p in points]
+        assert lp.beam_digits(model, np.array(points)).tolist() == expected
+
+    def test_radii_cover_zero_and_straddle_the_tiny_r_cutoff(self):
+        radii = [math.sqrt(x * x) for x in EDGE_PLANAR]
+        assert radii[:3] == [0.0, 0.0, 0.0]
+        assert radii[3] == min(r for r in radii if r > 0.0)
+        assert radii[-2] < segmentation._TINY_R == radii[-1]
+
+    def test_quotient_overflow_is_not_an_error(self):
+        # z / r overflows to inf; the suite turns that warning into an error.
+        model = lp.LidarModel(beam_pitches=[-0.2, 0.2])
+        assert lp.beam_digits(model, [[1e-160, 0.0, 1e150]]).tolist() == [2]
+        assert lp.beam_digits(model, [[1e-160, 0.0, -1e150]]).tolist() == [0]
+        assert lp.beam_digits(model, [[1e-300, 0.0, 1e300]]).tolist() == [2]
 
 
 def _pose_grid():
@@ -255,6 +329,52 @@ class TestColumnCache:
         gc.collect()
         # only the last grid labelled keeps a column cache
         assert sum(ref() is not None for ref in refs) <= 1
+
+
+def _column_case(name):
+    """A grid and the model to label it with, plus poses: random ones and grid-aligned ones."""
+    if name == "excluded_box":
+        grid = grid_of([7, 5, 3], [0.5, 0.25, 0.5], [lp.Box([1.0, 0.5, 0.0], [3.25, 2.5, 1.5])])
+        model = lp.LidarModel.evenly_spaced(8, -0.6, 0.4)
+    else:
+        scenario = lp.load_scenario(SCENARIO_DIR / f"{name}.json")
+        grid, model = scenario.grid, scenario.models["beam16"]
+    rng = np.random.default_rng(31)
+    extent = grid.extent
+    poses = [
+        lp.PoseConfig(position=position, yaw=yaw, pitch=pitch, roll=roll)
+        for position, (yaw, pitch, roll) in zip(
+            rng.uniform(-0.1 * extent, 1.1 * extent, (50, 3)),
+            rng.uniform(-math.pi, math.pi, (50, 3)),
+        )
+    ]
+    # Untilted at a voxel center, the voxels straight above and below lie on
+    # the sensor axis (r = 0); tilted by a right angle, the axis runs along x.
+    for row in rng.choice(grid.num_active, 6, replace=False):
+        center = grid.active_centers[row]
+        poses += [
+            lp.PoseConfig(position=center),
+            lp.PoseConfig(position=center, pitch=math.pi / 2, yaw=math.pi),
+        ]
+    return grid, model, poses
+
+
+@pytest.mark.parametrize("name", ["av_rooftop", "av_rooftop_small", "excluded_box"])
+class TestDigitColumns:
+    def test_labels_match_the_brute_force_column(self, name):
+        grid, model, poses = _column_case(name)
+        tangents = model.beam_tangents
+        for pose in poses:
+            labels = lp.first_level_labels([pose], [model], grid)
+            expected = digit_column_ref(tangents, lp.world_to_lidar(pose, grid.active_centers))
+            assert np.array_equal(labels[:, 0], expected)
+
+    def test_lattice_matches_the_direct_transform(self, name):
+        grid, _, poses = _column_case(name)
+        rows = segmentation._lattice_rows(grid)
+        for pose in poses:
+            lattice = segmentation._lattice_points(pose, grid)
+            assert np.array_equal(lattice[rows], lp.world_to_lidar(pose, grid.active_centers))
 
 
 class TestFirstLevelLabels:
