@@ -45,4 +45,7 @@ grid = lp.build_voxel_grid(roi)
 print(f"\nvoxel grid {grid.dims} = {grid.num_voxels} voxels")
 print(f"active (outside the vehicle box): {grid.num_active}")
 print(f"voxel volume: {grid.voxel_volume} m^3")
-print(f"first three active centers:\n{grid.active_centers[:3]}")
+# Each axis stores its voxel layers' centers once; a voxel's center reads
+# its three index columns from them.
+centers = np.column_stack([axis[i] for axis, i in zip(grid.axis_centers, grid.active_indices.T)])
+print(f"first three active centers:\n{centers[:3]}")

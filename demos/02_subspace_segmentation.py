@@ -53,7 +53,7 @@ try:
 
     fig = plt.figure(figsize=(9, 4))
     ax = fig.add_subplot(projection="3d")
-    c = grid.active_centers
+    c = np.column_stack([axis[i] for axis, i in zip(grid.axis_centers, grid.active_indices.T)])
     ax.scatter(c[:, 0], c[:, 1], c[:, 2], c=comp, s=3, cmap="tab20")
     ax.set_xlabel("x [m]")
     ax.set_ylabel("y [m]")

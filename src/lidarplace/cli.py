@@ -210,7 +210,15 @@ def _load_poses_file(path_str: str) -> tuple[PoseConfig, ...]:
     data = read_json(path, "POSES_INVALID")
     if not isinstance(data, list) or not data:
         raise CliError("POSES_INVALID", "poses file must hold a non-empty JSON list of poses")
-    return tuple(parse_pose(entry, f"poses[{i}]") for i, entry in enumerate(data))
+    return _parse_poses(data, "poses", "POSES_INVALID")
+
+
+def _parse_poses(entries: list, context: str, code: str) -> tuple[PoseConfig, ...]:
+    """Poses of a file's ``entries``; a malformed one raises ``CliError`` with the file's ``code``."""
+    try:
+        return tuple(parse_pose(entry, f"{context}[{i}]") for i, entry in enumerate(entries))
+    except ScenarioError as exc:
+        raise CliError(code, str(exc)) from exc
 
 
 def _check_pose_count(poses, models, code: str) -> None:
@@ -358,10 +366,7 @@ def _poses_from_record(path_str: str) -> tuple[tuple[PoseConfig, ...], dict]:
         or "scenario" not in record
     ):
         raise CliError("RECORD_INVALID", f"{path} is not an optimize result record")
-    poses = tuple(
-        parse_pose(entry, f"record.best_poses[{i}]")
-        for i, entry in enumerate(record["best_poses"])
-    )
+    poses = _parse_poses(record["best_poses"], "record.best_poses", "RECORD_INVALID")
     return poses, record["scenario"]
 
 

@@ -66,8 +66,14 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
     ``grid``, aligned with ``grid.active_indices``; any partition will do,
     face-connected or not.  Row ``c`` of each array describes component
     ``c``: its voxel count, volume in m^3, surface area in m^2, and
-    volume-to-surface-area ratio in meters.
+    volume-to-surface-area ratio in meters.  Raises ``ValueError`` when an
+    id lies outside ``[0, count)`` or a component holds no voxel.
     """
+    comp = np.asarray(comp)
+    if comp.size and not 0 <= comp.min() <= comp.max() < count:
+        raise ValueError(f"component ids must lie in [0, {count})")
+    if not np.bincount(comp, minlength=count).all():
+        raise ValueError(f"each of the {count} components must hold a voxel")
     values = grid.pad(comp)
     r = _runs(values, grid.padded_strides)
     return _metrics(values[r.start], count, r, grid)
@@ -87,7 +93,7 @@ def _metrics(group: np.ndarray, count: int, r, grid: VoxelGrid):
         + (2 * (sizes - pairs_y)) * (ex * ez)
         + (2 * (sizes - pairs_x)) * (ey * ez)
     )
-    vol = (ex * ey * ez) * sizes
+    vol = grid.voxel_volume * sizes
     return sizes, vol, sa, vol / sa
 
 

@@ -235,18 +235,17 @@ class VoxelGrid:
 
     ``axis_centers`` holds the center coordinate of every voxel layer along
     x, y and z; every voxel center the package compares is one of these
-    floats.  ``active_indices``/``active_centers`` list the active voxels in
-    C order (lexicographic by index triple); all per-voxel arrays elsewhere
-    in the package align with that ordering.  ``active_centers`` is stored
-    column-major, so each coordinate axis is one contiguous column.  All
-    arrays are read-only.
+    floats.  ``active_indices`` lists the active voxels in C order
+    (lexicographic by index triple); all per-voxel arrays elsewhere in the
+    package align with that ordering.  Voxel ``r``'s center is
+    ``axis_centers[a][active_indices[r, a]]`` on axis ``a``.  All arrays are
+    read-only.
     """
 
     dims: tuple[int, int, int]
     resolution: np.ndarray
     axis_centers: tuple[np.ndarray, np.ndarray, np.ndarray]
     active_indices: np.ndarray
-    active_centers: np.ndarray
 
     @property
     def num_voxels(self) -> int:
@@ -288,10 +287,11 @@ class VoxelGrid:
     def pad(self, values) -> np.ndarray:
         """Active-voxel ``values`` on the padded layout, ``-1`` in every other cell.
 
-        ``values`` must be non-negative integers, one per active voxel (else
-        ``ValueError``).  Every voxel's ``+x``/``+y``/``+z`` neighbour is the
-        cell one stride further on; past the last voxel along an axis that
-        cell is padding, so a step can never wrap onto the next row.
+        ``values`` must hold one integer per active voxel (else
+        ``ValueError``, the only check); a negative one reads as padding.
+        Every voxel's ``+x``/``+y``/``+z`` neighbour is the cell one stride
+        further on; past the last voxel along an axis that cell is padding,
+        so a step can never wrap onto the next row.
         """
         if np.shape(values) != (self.num_active,):
             raise ValueError("per-voxel values must align with the grid's active voxels")
@@ -370,15 +370,5 @@ def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
         x, y, z = ((c >= box.minimum[a]) & (c <= box.maximum[a]) for a, c in enumerate(axes))
         active &= ~(x[:, None, None] & y[None, :, None] & z[None, None, :])
     active_indices = np.argwhere(active).astype(np.int64, copy=False)
-    active_centers = np.empty(active_indices.shape, order="F")
-    for a, c in enumerate(axes):
-        active_centers[:, a] = c[active_indices[:, a]]
     active_indices.flags.writeable = False
-    active_centers.flags.writeable = False
-    return VoxelGrid(
-        dims=dims,
-        resolution=res,
-        axis_centers=axes,
-        active_indices=active_indices,
-        active_centers=active_centers,
-    )
+    return VoxelGrid(dims=dims, resolution=res, axis_centers=axes, active_indices=active_indices)

@@ -171,7 +171,8 @@ def parse_pose(data, context: str = "pose") -> PoseConfig:
     """
     position = _vec(_require(data, "position", context), f"{context}.position")
     angles = {
-        name: parse_angle(data.get(name, 0.0)) for name in ("yaw", "pitch", "roll")
+        name: _build(parse_angle, f"{context}.{name}", data.get(name, 0.0), code="ANGLE_INVALID")
+        for name in ("yaw", "pitch", "roll")
     }
     return _build(PoseConfig, context, position=position, **angles)
 

@@ -374,9 +374,12 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     identical subspace codes; inactive voxels never join or bridge components.
     Ids are dense in ``[0, count)`` and ordered by each component's minimum
     voxel index (lexicographic), which makes the labeling deterministic.
+    Raises ``ValueError`` on a negative digit.
     """
     if labels.ndim != 2:
         raise ValueError("labels must be a matrix with one row per active voxel")
+    if labels.size and labels.min() < 0:
+        raise ValueError("subspace digits must be non-negative")
     r = _code_runs(labels, grid)
     count, run_comp = _run_components(r.start.size, r.src, r.dst)
 

@@ -21,11 +21,12 @@ def blob_grid(cells, resolution) -> lp.VoxelGrid:
     keep = np.zeros(full.dims, dtype=bool)
     keep[tuple(idx.T)] = True
     keep = keep.ravel()  # C order, as the full grid lists its voxels
-    return replace(
-        full,
-        active_indices=full.active_indices[keep],
-        active_centers=np.asfortranarray(full.active_centers[keep]),
-    )
+    return replace(full, active_indices=full.active_indices[keep])
+
+
+def voxel_centers(grid: lp.VoxelGrid) -> np.ndarray:
+    """``(num_active, 3)`` centers of ``grid``'s active voxels, read from ``axis_centers``."""
+    return np.column_stack([c[i] for c, i in zip(grid.axis_centers, grid.active_indices.T)])
 
 
 def single_component_metrics(grid: lp.VoxelGrid) -> tuple[float, float, float]:

@@ -180,7 +180,7 @@ def assert_valid_partition(grid, labels, comp, count):
 
 
 def voxel_grid_ref(dims, resolution, boxes=()):
-    """``(active_indices, active_centers)`` from every voxel's index triple and center.
+    """Active ``(indices, centers)`` from every voxel's index triple and center.
 
     ``boxes`` holds ``(lo, hi)`` corner pairs; a voxel is inactive when its
     center lies in a closed box.

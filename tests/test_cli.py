@@ -20,6 +20,7 @@ from lidarplace.cli import main
 from lidarplace.geometry import MAX_VOXELS
 from lidarplace.odr import MAX_TRIALS
 from lidarplace.scenario import MAX_SENSORS
+from grids import voxel_centers
 from oracles import brute_force_max_vsr, voxel_export_ref
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -476,6 +477,42 @@ class TestInputsCheckedBeforeOut:
         assert f"error[{code}]" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"position": [4.0, float("nan"), 3.0]}, "finite"),
+            ({"position": [4.0, 4.0]}, "3-element"),
+            ({"position": [4.0, 4.0, 3.0], "yaw": "abc"}, "deg/rad suffix"),
+            (5, "missing"),
+        ],
+        ids=["nan-coordinate", "two-element-position", "yaw-not-an-angle", "bare-number"],
+    )
+    @pytest.mark.parametrize(
+        "argv, code, context",
+        [
+            (["evaluate", "--scenario", "{scenario}", "--poses", "{file}"], "POSES_INVALID", "poses[1]"),
+            (["odr", "--scenario", "{scenario}", "--poses", "{file}"], "POSES_INVALID", "poses[1]"),
+            (["odr", "--scenario", "{scenario}", "--record", "{file}"], "RECORD_INVALID",
+             "record.best_poses[1]"),
+            (["export-voxels", "--record", "{file}"], "RECORD_INVALID", "record.best_poses[1]"),
+        ],
+        ids=["evaluate-poses", "odr-poses", "odr-record", "export-voxels-record"],
+    )
+    def test_bad_pose_entry_gets_the_files_code(
+        self, inputs, tmp_path, capsys, entry, reason, argv, code, context
+    ):
+        entries = [{"position": [4.0, 4.0, 3.0]}, entry]
+        content = entries if code == "POSES_INVALID" else {"best_poses": entries, "scenario": {}}
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [arg.format(file=path, **inputs) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error[{code}]" in err and "Traceback" not in err
+        assert context in err and reason in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", [2**63, 1e300, MAX_SENSORS + 1], ids=["2**63", "1e300", "limit+1"])
     @pytest.mark.parametrize("command", ["evaluate", "odr"])
     def test_too_many_sensors_is_schema_invalid(self, inputs, tmp_path, capsys, command, count):
@@ -821,7 +858,7 @@ class TestVoxelWriters:
         assert report.vsr.size > 50 and grid.num_active < grid.num_voxels
         with mock.patch.object(cli, "_WRITE_BLOCK", block):
             cli._write_voxel_export(tmp_path, grid, report)
-        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, report.component_ids)
+        csv_text, ply_text = voxel_export_ref(voxel_centers(grid), labels, report.component_ids)
         assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
         assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
 
@@ -834,7 +871,7 @@ class TestVoxelWriters:
         grid, labels, report = _evaluated(scenario.roi, poses, models)
         assert report.vsr.size > 1000
         cli._write_voxel_export(tmp_path, grid, report)
-        csv_text, ply_text = voxel_export_ref(grid.active_centers, labels, report.component_ids)
+        csv_text, ply_text = voxel_export_ref(voxel_centers(grid), labels, report.component_ids)
         assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
         assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
 

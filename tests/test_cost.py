@@ -49,6 +49,21 @@ class TestVolume:
         with pytest.raises(ValueError):
             lp.component_metrics(np.empty(0, dtype=np.int64), 0, grid)
 
+    @pytest.mark.parametrize(
+        "comp, count",
+        [
+            ([0, 0, 0, 3, 0, 0], 1),
+            ([0, 0, -1, 0, 1, 1], 2),
+            ([0] * 6, 2),
+            ([0, 0, 0, 0, 0, 2], 3),
+        ],
+        ids=["id-above-count", "negative-id", "last-component-empty", "middle-component-empty"],
+    )
+    def test_ids_must_fill_every_component(self, comp, count):
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=[3, 2, 1], resolution=[1, 1, 1]))
+        with pytest.raises(ValueError, match="component"):
+            lp.component_metrics(np.array(comp), count, grid)
+
 
 class TestSurfaceArea:
     def test_two_stacked_voxels_by_axis(self):

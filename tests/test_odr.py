@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lidarplace as lp
-from grids import blob_grid
+from grids import blob_grid, voxel_centers
 from lidarplace import odr
 from oracles import occupied_subspaces_ref, vsr_odr_scatter_ref
 
@@ -95,7 +95,8 @@ class TestCountOccupiedSubspaces:
         for _ in range(50):
             lo = rng.uniform(0, [6, 6, 2])
             boxes.append((lo, lo + rng.uniform(0.5, 2.0, 3)))
-        expected = [occupied_subspaces_ref(grid.active_centers, comp, lo, hi) for lo, hi in boxes]
+        centers = voxel_centers(grid)
+        expected = [occupied_subspaces_ref(centers, comp, lo, hi) for lo, hi in boxes]
         assert occupied_counts(boxes, comp, grid) == expected
 
 
@@ -161,7 +162,8 @@ class TestBatchedOccupancy:
         boxes += [([0.0, 0.0, 0.0], extent), ([-1.0, -1.0, -1.0], [e + 1.0 for e in extent])]
         lo = np.array([b[0] for b in boxes])
         hi = np.array([b[1] for b in boxes])
-        expected = [occupied_subspaces_ref(grid.active_centers, comp, a, b) for a, b in boxes]
+        centers = voxel_centers(grid)
+        expected = [occupied_subspaces_ref(centers, comp, a, b) for a, b in boxes]
         assert odr._occupied_counts(comp, grid, lo, hi).tolist() == expected
         # one box per gathered batch, and a few per batch
         for cells in (1, 7):
@@ -174,9 +176,9 @@ def estimate_odr_ref(configs, models, grid, obj, trials, threshold, rng):
     comp, _ = lp.component_ids(lp.first_level_labels(configs, models, grid), grid)
     region = obj.corner_region(grid.extent)
     corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
+    centers = voxel_centers(grid)
     return sum(
-        occupied_subspaces_ref(grid.active_centers, comp, lo, lo + obj.dims) > threshold
-        for lo in corners
+        occupied_subspaces_ref(centers, comp, lo, lo + obj.dims) > threshold for lo in corners
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lidarplace as lp
+from grids import voxel_centers
 from lidarplace import segmentation
 from oracles import (
     assert_valid_partition,
@@ -186,11 +187,9 @@ def _pose_grid():
 
 
 def _uncached_labels(poses, models, grid):
+    centers = voxel_centers(grid)
     return np.stack(
-        [
-            lp.beam_digits(m, lp.world_to_lidar(p, grid.active_centers))
-            for p, m in zip(poses, models)
-        ],
+        [lp.beam_digits(m, lp.world_to_lidar(p, centers)) for p, m in zip(poses, models)],
         axis=1,
     )
 
@@ -350,8 +349,7 @@ def _column_case(name):
     ]
     # Untilted at a voxel center, the voxels straight above and below lie on
     # the sensor axis (r = 0); tilted by a right angle, the axis runs along x.
-    for row in rng.choice(grid.num_active, 6, replace=False):
-        center = grid.active_centers[row]
+    for center in voxel_centers(grid)[rng.choice(grid.num_active, 6, replace=False)]:
         poses += [
             lp.PoseConfig(position=center),
             lp.PoseConfig(position=center, pitch=math.pi / 2, yaw=math.pi),
@@ -363,18 +361,18 @@ def _column_case(name):
 class TestDigitColumns:
     def test_labels_match_the_brute_force_column(self, name):
         grid, model, poses = _column_case(name)
-        tangents = model.beam_tangents
+        tangents, centers = model.beam_tangents, voxel_centers(grid)
         for pose in poses:
             labels = lp.first_level_labels([pose], [model], grid)
-            expected = digit_column_ref(tangents, lp.world_to_lidar(pose, grid.active_centers))
+            expected = digit_column_ref(tangents, lp.world_to_lidar(pose, centers))
             assert np.array_equal(labels[:, 0], expected)
 
     def test_lattice_matches_the_direct_transform(self, name):
         grid, _, poses = _column_case(name)
-        rows = segmentation._lattice_rows(grid)
+        rows, centers = segmentation._lattice_rows(grid), voxel_centers(grid)
         for pose in poses:
             lattice = segmentation._lattice_points(pose, grid)
-            assert np.array_equal(lattice[rows], lp.world_to_lidar(pose, grid.active_centers))
+            assert np.array_equal(lattice[rows], lp.world_to_lidar(pose, centers))
 
 
 class TestFirstLevelLabels:
@@ -384,8 +382,8 @@ class TestFirstLevelLabels:
         pose = lp.PoseConfig(position=[4.0, 4.0, 4.0])
         labels = lp.first_level_labels([pose], [model], grid)
         assert set(np.unique(labels[:, 0])) <= {0, 1}
-        for row in range(grid.num_active):
-            local = lp.world_to_lidar(pose, grid.active_centers[row])
+        for row, center in enumerate(voxel_centers(grid)):
+            local = lp.world_to_lidar(pose, center)
             assert labels[row, 0] == beam_digit_ref(model.beam_tangents.tolist(), *local)
 
     def test_code_space_bounds(self):
@@ -548,6 +546,21 @@ class TestConnectedComponents:
         comp, count = lp.component_ids(np.array([[2**62], [2**62], [5], [2**62]]), grid)
         assert count == 3
         assert comp.tolist() == [0, 0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [[0], [0], [-1], [0], [1], [1]],
+            [[-1]] * 6,
+            [[0, 1], [0, 1], [1, -2], [0, 1], [1, 0], [1, 0]],
+            [[0], [0], [0], [0], [0], [-(2**62)]],
+        ],
+        ids=["one-negative", "all-negative", "negative-second-digit", "huge-negative"],
+    )
+    def test_negative_digit_rejected(self, labels):
+        grid = grid_of([3, 2, 1], [1, 1, 1])
+        with pytest.raises(ValueError, match="non-negative"):
+            lp.component_ids(np.array(labels), grid)
 
 
 def assert_matches_flood_fill(grid, labels):
