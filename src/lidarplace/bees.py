@@ -166,11 +166,13 @@ def optimize(
     """Minimize ``objective`` over the box ``bounds`` with a bee colony.
 
     ``objective`` must be pure, deterministic, and finite (non-negative) on
-    the box.  With ``threads > 1`` candidate evaluations within each phase run
-    on a thread pool; all randomness is drawn up front on the main thread and
-    results are applied in source order, so the outcome is identical to the
-    single-threaded run.
+    the box.  ``threads`` must be at least 1.  With ``threads > 1`` candidate
+    evaluations within each phase run on a thread pool; all randomness is
+    drawn up front on the main thread and results are applied in source
+    order, so the outcome is identical to the single-threaded run.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     lower = np.asarray(bounds[0], dtype=float)
     upper = np.asarray(bounds[1], dtype=float)
     if lower.ndim != 1 or lower.shape != upper.shape:

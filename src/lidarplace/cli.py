@@ -433,8 +433,15 @@ def cmd_export_voxels(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as ``error[ARG_INVALID]``, like every other error."""
+
+    def error(self, message):
+        raise CliError("ARG_INVALID", message, EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lidarplace",
         description="Multi-LiDAR placement: minimize the worst blind-spot VSR.",
     )
@@ -516,9 +523,8 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_ranges(args)
         return args.func(args)
     except CliError as exc:

@@ -120,8 +120,8 @@ _GATHER_CELLS = 2**20
 def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Distinct component ids among the active centers inside each box ``[lo[k], hi[k]]``.
 
-    ``lo`` and ``hi`` are ``(K, 3)``; returns ``K`` counts.  A center ``c``
-    is inside when ``lo <= c <= hi`` on every axis.
+    ``lo`` and ``hi`` are ``(K, 3)`` with ``lo <= hi``; returns ``K``
+    counts.  A center ``c`` is inside when ``lo <= c <= hi`` on every axis.
     """
     ids, strides = grid.pad(comp), grid.padded_strides
     first = np.empty(lo.shape, dtype=np.int64)
@@ -129,7 +129,6 @@ def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.n
     for a, axis in enumerate(grid.axis_centers):
         first[:, a] = np.searchsorted(axis, lo[:, a], side="left")
         size[:, a] = np.searchsorted(axis, hi[:, a], side="right") - first[:, a]
-    np.maximum(size, 0, out=size)
     # A box smaller than the widest one repeats its last index, which leaves
     # its distinct ids unchanged; an empty axis reads the -1 padding layer.
     widths = size.max(axis=0)

@@ -126,14 +126,31 @@ def _build(factory, context: str, *args, code: str = "SCHEMA_INVALID", **kwargs)
         raise ScenarioError(_GRID_CODES.get(type(exc), code), f"{context}: {exc}") from exc
 
 
-def parse_angle(value) -> float:
+def _fields(data, context: str, parsers: dict, required=()) -> dict:
+    """The JSON object ``data``'s fields, each parsed as ``parsers[name](value, path)``.
+
+    A field without a parser is rejected; absent optional fields are left out.
+    """
+    prefix = f"{context}." if context else ""
+    for name in required:
+        if not isinstance(data, dict) or name not in data:
+            raise ScenarioError("SCHEMA_FIELD", f"missing {prefix}{name}")
+    if not isinstance(data, dict):
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must be an object")
+    for name in data:
+        if name not in parsers:
+            raise ScenarioError("SCHEMA_FIELD", f"unknown field {prefix}{name}")
+    return {name: parse(data[name], prefix + name) for name, parse in parsers.items() if name in data}
+
+
+def parse_angle(value, context: str = "angle") -> float:
     """Angle in radians from a number, ``{"deg"|"rad": x}``, or ``"15deg"``."""
     if isinstance(value, dict):
         if set(value) == {"deg"}:
-            return math.radians(_number(value["deg"], "angle", "ANGLE_INVALID"))
+            return math.radians(_number(value["deg"], f"{context}.deg", "ANGLE_INVALID"))
         if set(value) == {"rad"}:
-            return _number(value["rad"], "angle", "ANGLE_INVALID")
-        raise ScenarioError("ANGLE_INVALID", f"angle object needs a single deg/rad key: {value!r}")
+            return _number(value["rad"], f"{context}.rad", "ANGLE_INVALID")
+        raise ScenarioError("ANGLE_INVALID", f"{context} needs a single deg/rad key, got {value!r}")
     if isinstance(value, str):
         text = value.strip().lower()
         for suffix, factor in (("deg", math.pi / 180.0), ("rad", 1.0)):
@@ -142,14 +159,12 @@ def parse_angle(value) -> float:
                     return float(text[: -len(suffix)]) * factor
                 except ValueError:
                     break
-        raise ScenarioError("ANGLE_INVALID", f"angle strings need a deg/rad suffix: {value!r}")
-    return _number(value, "angle", "ANGLE_INVALID")
+        raise ScenarioError("ANGLE_INVALID", f"{context} needs a deg/rad suffix, got {value!r}")
+    return _number(value, context, "ANGLE_INVALID")
 
 
-def _require(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ScenarioError("SCHEMA_FIELD", f"missing {context}.{key}")
-    return mapping[key]
+def _as_is(value, context: str):
+    return value
 
 
 def _vec(value, context: str) -> list[float]:
@@ -159,9 +174,8 @@ def _vec(value, context: str) -> list[float]:
 
 
 def _box(data, context: str) -> Box:
-    lo = _vec(_require(data, "min", context), f"{context}.min")
-    hi = _vec(_require(data, "max", context), f"{context}.max")
-    return _build(Box, context, minimum=lo, maximum=hi)
+    box = _fields(data, context, {"min": _vec, "max": _vec}, ("min", "max"))
+    return _build(Box, context, minimum=box["min"], maximum=box["max"])
 
 
 def parse_pose(data, context: str = "pose") -> PoseConfig:
@@ -169,40 +183,86 @@ def parse_pose(data, context: str = "pose") -> PoseConfig:
 
     Omitted angles default to zero; angle values take any accepted form.
     """
-    position = _vec(_require(data, "position", context), f"{context}.position")
-    angles = {
-        name: _build(parse_angle, f"{context}.{name}", data.get(name, 0.0), code="ANGLE_INVALID")
-        for name in ("yaw", "pitch", "roll")
-    }
-    return _build(PoseConfig, context, position=position, **angles)
+    parsers = {"position": _vec, "yaw": parse_angle, "pitch": parse_angle, "roll": parse_angle}
+    return _build(PoseConfig, context, **_fields(data, context, parsers, ("position",)))
 
 
 def _parse_bound_vector(value, context: str) -> PoseConfig:
     if not isinstance(value, (list, tuple)) or len(value) != 6:
-        raise ScenarioError(
-            "SCHEMA_FIELD", f"{context} must list [x, y, z, yaw, pitch, roll]"
-        )
-    yaw, pitch, roll = (parse_angle(v) for v in value[3:])
-    position = [_number(v, context) for v in value[:3]]
-    return _build(PoseConfig, context, position=position, yaw=yaw, pitch=pitch, roll=roll)
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must list [x, y, z, yaw, pitch, roll]")
+    return parse_pose(dict(position=value[:3], yaw=value[3], pitch=value[4], roll=value[5]), context)
 
 
-def _parse_model(data, name: str) -> LidarModel:
-    context = f"models.{name}"
-    if not isinstance(data, dict):
-        raise ScenarioError("SCHEMA_FIELD", f"{context} must be an object")
-    if "beam_pitches" in data:
-        pitches = [parse_angle(v) for v in _list(data["beam_pitches"], f"{context}.beam_pitches")]
+def _parse_roi(data, context: str) -> tuple[RoiSpec, VoxelGrid]:
+    def boxes(value, path):
+        return tuple(_box(box, f"{path}[{i}]") for i, box in enumerate(_list(value, path)))
+
+    parsers = {"extent": _vec, "resolution": _vec, "excluded_boxes": boxes}
+    roi = _build(RoiSpec, context, **_fields(data, context, parsers, ("extent", "resolution")))
+    grid = build_voxel_grid(roi)
+    if grid.num_active == 0:
+        raise ScenarioError("SCHEMA_INVALID", f"{context}: the excluded boxes cover every voxel center")
+    return roi, grid
+
+
+def _parse_model(data, context: str) -> LidarModel:
+    def beam_pitches(value, path):
+        pitches = [parse_angle(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
         return _build(LidarModel, context, beam_pitches=np.asarray(pitches, dtype=float))
-    if "evenly_spaced" in data:
-        spec = data["evenly_spaced"]
-        count = _integer(_require(spec, "count", f"{context}.evenly_spaced"), f"{context}.count")
-        start = parse_angle(_require(spec, "start", f"{context}.evenly_spaced"))
-        stop = parse_angle(_require(spec, "stop", f"{context}.evenly_spaced"))
-        return _build(LidarModel.evenly_spaced, context, count, start, stop)
-    raise ScenarioError(
-        "SCHEMA_FIELD", f"{context} needs either beam_pitches or evenly_spaced"
-    )
+
+    def evenly_spaced(value, path):
+        parsers = {"count": _integer, "start": parse_angle, "stop": parse_angle}
+        spec = _fields(value, path, parsers, ("count", "start", "stop"))
+        return _build(LidarModel.evenly_spaced, context, spec["count"], spec["start"], spec["stop"])
+
+    forms = _fields(data, context, {"beam_pitches": beam_pitches, "evenly_spaced": evenly_spaced})
+    if len(forms) != 1:
+        raise ScenarioError("SCHEMA_FIELD", f"{context} needs exactly one of beam_pitches, evenly_spaced")
+    return next(iter(forms.values()))
+
+
+def _parse_models(data, context: str) -> dict[str, LidarModel]:
+    if not isinstance(data, dict) or not data:
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must map at least one name to a model")
+    return {name: _parse_model(spec, f"{context}.{name}") for name, spec in data.items()}
+
+
+def _parse_lidars(data, context: str) -> tuple[tuple[str, int], ...]:
+    """``(model name, count)`` pairs; :func:`parse_scenario` looks the names up."""
+    if not isinstance(data, list) or not data:
+        raise ScenarioError("SCHEMA_FIELD", f"{context} must be a non-empty list")
+    lidars = []
+    for i, entry in enumerate(data):
+        lidar = _fields(entry, f"{context}[{i}]", {"model": _as_is, "count": _integer}, ("model",))
+        count = lidar.get("count", 1)
+        if count < 1:
+            raise ScenarioError("SCHEMA_INVALID", f"{context}[{i}].count must be >= 1")
+        lidars.append((lidar["model"], count))
+    if sum(count for _, count in lidars) > MAX_SENSORS:
+        raise ScenarioError("SCHEMA_INVALID", f"{context} place more than {MAX_SENSORS} sensors")
+    return tuple(lidars)
+
+
+def _parse_bounds(data, context: str) -> PoseBounds:
+    parsers = {"lower": _parse_bound_vector, "upper": _parse_bound_vector}
+    limits = _fields(data, context, parsers, ("lower", "upper"))
+    bounds = _build(PoseBounds, context, **limits, code="BOUNDS_INVERTED")
+    _build(decision_bounds, context, bounds, 1)
+    return bounds
+
+
+def _parse_abc(data, context: str) -> AbcParams:
+    parsers = {"num_bees": _integer, "max_iterations": _integer, "abandonment_threshold": _integer,
+               "rng_seed": _integer, "mutate_all_dims": _bool}
+    return _build(AbcParams, context, **_fields(data, context, parsers, ("num_bees", "max_iterations")))
+
+
+def _parse_odr(data, context: str) -> OdrSettings:
+    parsers = {"object_dims": _vec, "placement_region": _box, "trials": _integer, "threshold": _integer}
+    settings = _fields(data, context, parsers)
+    dims = settings.pop("object_dims", [0.5, 0.5, 1.7])
+    obj = _build(ObjectSpec, context, dims=dims, placement_region=settings.pop("placement_region", None))
+    return _build(OdrSettings, context, obj=obj, **settings)
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -214,80 +274,19 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(
             "SCHEMA_VERSION", f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
-
-    roi_data = _require(data, "roi", "scenario")
-    extent = _vec(_require(roi_data, "extent", "roi"), "roi.extent")
-    resolution = _vec(_require(roi_data, "resolution", "roi"), "roi.resolution")
-    boxes_data = _list(roi_data.get("excluded_boxes", []), "roi.excluded_boxes")
-    boxes = tuple(_box(box, f"roi.excluded_boxes[{i}]") for i, box in enumerate(boxes_data))
-    roi = _build(RoiSpec, "roi", extent=extent, resolution=resolution, excluded_boxes=boxes)
-    grid = build_voxel_grid(roi)
-    if grid.num_active == 0:
-        raise ScenarioError("SCHEMA_INVALID", "roi: the excluded boxes cover every voxel center")
-
-    models_data = _require(data, "models", "scenario")
-    if not isinstance(models_data, dict) or not models_data:
-        raise ScenarioError("SCHEMA_FIELD", "models must map at least one name to a model")
-    models = {name: _parse_model(spec, name) for name, spec in models_data.items()}
-
-    lidars_data = _require(data, "lidars", "scenario")
-    if not isinstance(lidars_data, list) or not lidars_data:
-        raise ScenarioError("SCHEMA_FIELD", "lidars must be a non-empty list")
-    lidars = []
-    for i, entry in enumerate(lidars_data):
-        name = _require(entry, "model", f"lidars[{i}]")
-        if not isinstance(name, str) or name not in models:
+    # sections in reading order; an absent odr reads as {}, as every ODR setting has a default
+    parsers = {
+        "schema_version": _as_is, "roi": _parse_roi, "models": _parse_models,
+        "lidars": _parse_lidars, "bounds": _parse_bounds, "abc": _parse_abc, "odr": _parse_odr,
+    }
+    sections = _fields({"odr": {}, **data}, "", parsers, ("roi", "models", "lidars", "bounds", "abc"))
+    del sections["schema_version"]
+    sections["roi"], grid = sections["roi"]
+    for i, (name, _) in enumerate(sections["lidars"]):
+        if not isinstance(name, str) or name not in sections["models"]:
             raise ScenarioError("MODEL_UNKNOWN", f"lidars[{i}] references unknown model {name!r}")
-        count = _integer(entry.get("count", 1), f"lidars[{i}].count")
-        if count < 1:
-            raise ScenarioError("SCHEMA_INVALID", f"lidars[{i}].count must be >= 1")
-        lidars.append((name, count))
-    if sum(count for _, count in lidars) > MAX_SENSORS:
-        raise ScenarioError("SCHEMA_INVALID", f"lidars place more than {MAX_SENSORS} sensors")
-
-    bounds_data = _require(data, "bounds", "scenario")
-    lower = _parse_bound_vector(_require(bounds_data, "lower", "bounds"), "bounds.lower")
-    upper = _parse_bound_vector(_require(bounds_data, "upper", "bounds"), "bounds.upper")
-    bounds = _build(PoseBounds, "bounds", lower=lower, upper=upper, code="BOUNDS_INVERTED")
-    _build(decision_bounds, "bounds", bounds, 1)
-
-    abc_data = _require(data, "abc", "scenario")
-    abc = _build(
-        AbcParams,
-        "abc",
-        num_bees=_integer(_require(abc_data, "num_bees", "abc"), "abc.num_bees"),
-        max_iterations=_integer(_require(abc_data, "max_iterations", "abc"), "abc.max_iterations"),
-        abandonment_threshold=_integer(
-            abc_data.get("abandonment_threshold", 100), "abc.abandonment_threshold"
-        ),
-        rng_seed=_integer(abc_data.get("rng_seed", 0), "abc.rng_seed"),
-        mutate_all_dims=_bool(abc_data.get("mutate_all_dims", False), "abc.mutate_all_dims"),
-    )
-
-    odr_data = data.get("odr", {})
-    if not isinstance(odr_data, dict):
-        raise ScenarioError("SCHEMA_FIELD", "odr must be an object")
-    region = None
-    if "placement_region" in odr_data:
-        region = _box(odr_data["placement_region"], "odr.placement_region")
-    obj = _build(
-        ObjectSpec,
-        "odr",
-        dims=_vec(odr_data.get("object_dims", [0.5, 0.5, 1.7]), "odr.object_dims"),
-        placement_region=region,
-    )
-    _build(obj.corner_region, "odr", roi.extent)
-    settings = _build(
-        OdrSettings,
-        "odr",
-        obj=obj,
-        trials=_integer(odr_data.get("trials", 1000), "odr.trials"),
-        threshold=_integer(odr_data.get("threshold", 1), "odr.threshold"),
-    )
-
-    return Scenario(
-        roi=roi, models=models, lidars=tuple(lidars), bounds=bounds, abc=abc, odr=settings, grid=grid
-    )
+    _build(sections["odr"].obj.corner_region, "odr", sections["roi"].extent)
+    return Scenario(**sections, grid=grid)
 
 
 def read_json(path, code: str):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ class TestOptimize:
             assert serial.best_cost == parallel.best_cost
             for name in ("best_solution", *COLONY_ARRAYS):
                 assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected_before_any_evaluation(self, threads):
+        def never(x):
+            raise AssertionError("evaluated")
+
+        params = lp.AbcParams(num_bees=4, max_iterations=2, rng_seed=6)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            lp.optimize(never, self.BOUNDS, params, threads=threads)
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=[4, 4, 2], resolution=[1, 1, 1]))
+        bounds = lp.PoseBounds(
+            lower=lp.PoseConfig(position=[1, 1, 1]), upper=lp.PoseConfig(position=[3, 3, 2])
+        )
+        model = lp.LidarModel(beam_pitches=[-0.2, 0.2])
+        with mock.patch.object(lp.cost, "max_vsr", never), pytest.raises(
+            ValueError, match="threads must be >= 1"
+        ):
+            lp.search_placement([model], grid, bounds, params, threads=threads)
 
     def test_every_candidate_stays_in_box(self):
         seen = []

@@ -232,6 +232,20 @@ class TestSweep:
         assert "error[INVALID_VALUE]: search failed" in err and "Traceback" not in err
         assert not (out / "sweep.csv").exists()
 
+    def test_rising_best_cost_warns(self, tiny_scenario, tmp_path, capsys, monkeypatch):
+        def search(models, *args, **kwargs):
+            return None, mock.Mock(best_cost=float(len(models)))
+
+        monkeypatch.setattr(lp.cost, "search_placement", search)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--scenario", str(tiny_scenario), "--counts", "2,1,3", "--out", str(out)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning[SWEEP_NON_MONOTONE]") == 2
+        assert "rose from 1.000000 at count 1 to 2.000000 at count 2" in err
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines == ["model,count,best_max_vsr", "b2,2,2.0", "b2,1,1.0", "b2,3,3.0"]
+
 
 class TestOdr:
     def test_record_driven_odr(self, tiny_scenario, tmp_path):
@@ -448,6 +462,7 @@ class TestInputsCheckedBeforeOut:
             (["sweep", "--counts", ""], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", f"1,{MAX_SENSORS + 1}"], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", str(2**63)], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", "1,x"], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", "ghost"], "MODEL_UNKNOWN", 3),
             (["sweep", "--counts", "1", "--models", ","], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", ""], "SWEEP_EMPTY", 2),
@@ -461,7 +476,8 @@ class TestInputsCheckedBeforeOut:
             "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
             "odr-record-invalid", "odr-record-missing", "odr-record-pose-count",
             "odr-poses-and-record", "sweep-empty", "sweep-count-above-limit",
-            "sweep-count-2**63", "sweep-unknown-model", "sweep-models-comma", "sweep-models-empty",
+            "sweep-count-2**63", "sweep-count-not-an-integer", "sweep-unknown-model",
+            "sweep-models-comma", "sweep-models-empty",
             "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
             "odr-record-directory",
         ],
@@ -484,8 +500,10 @@ class TestInputsCheckedBeforeOut:
             ({"position": [4.0, 4.0]}, "3-element"),
             ({"position": [4.0, 4.0, 3.0], "yaw": "abc"}, "deg/rad suffix"),
             (5, "missing"),
+            ({"position": [4.0, 4.0, 3.0], "pich": 0.5}, "unknown field"),
         ],
-        ids=["nan-coordinate", "two-element-position", "yaw-not-an-angle", "bare-number"],
+        ids=["nan-coordinate", "two-element-position", "yaw-not-an-angle", "bare-number",
+             "misspelled-field"],
     )
     @pytest.mark.parametrize(
         "argv, code, context",
@@ -512,6 +530,37 @@ class TestInputsCheckedBeforeOut:
         assert f"error[{code}]" in err and "Traceback" not in err
         assert context in err and reason in err
         assert not out.exists()
+
+    def test_record_scenario_with_unknown_field(self, tmp_path, capsys):
+        record = tmp_path / "record.json"
+        content = {"best_poses": [{"position": [4.0, 4.0, 3.0]}], "scenario": dict(TINY, oddr={})}
+        record.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["export-voxels", "--record", str(record), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error[RECORD_INVALID]" in err and "unknown field oddr" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize", "--threads", "abc"], ["evaluate"], ["optimize", "--bogus", "1"]],
+        ids=["bad-int", "missing-poses", "unknown-flag"],
+    )
+    def test_malformed_command_line_is_arg_invalid(self, inputs, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--scenario", inputs["scenario"], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error[ARG_INVALID]: ")
+        assert "Traceback" not in captured.err and "usage:" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("count", [2**63, 1e300, MAX_SENSORS + 1], ids=["2**63", "1e300", "limit+1"])
     @pytest.mark.parametrize("command", ["evaluate", "odr"])

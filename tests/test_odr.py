@@ -221,6 +221,18 @@ class TestEstimateOdr:
                 assert report.detections == expected
                 assert report.odr == expected / 100
 
+    def test_object_between_two_center_layers_detects_nothing(self):
+        # Thinner than the 1 m spacing and held between the z = 0.5 and z = 1.5
+        # center layers, every trial's box holds no center at all.
+        region = lp.Box(minimum=[0.0, 0.0, 0.6], maximum=[7.8, 7.8, 0.7])
+        obj = lp.ObjectSpec(dims=[0.2, 0.2, 0.2], placement_region=region)
+        report = lp.estimate_odr(
+            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 200, 0), np.random.default_rng(57)
+        )
+        expected = estimate_odr_ref([POSE], [MODEL], GRID, obj, 200, 0, np.random.default_rng(57))
+        assert report.detections == expected == 0
+        assert report.odr == 0.0
+
     def test_threshold_zero_with_full_coverage(self):
         obj = lp.ObjectSpec(dims=[2, 2, 2])
         report = lp.estimate_odr(

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from lidarplace import cli
 from lidarplace.bees import MAX_BEES, MAX_ITERATIONS
 from lidarplace.geometry import MAX_VOXELS
 from lidarplace.odr import MAX_TRIALS
-from lidarplace.scenario import MAX_SENSORS, parse_angle, parse_scenario
+from lidarplace.scenario import MAX_SENSORS, parse_angle, parse_pose, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -49,11 +51,17 @@ class TestAngles:
         assert parse_angle("0.2rad") == pytest.approx(0.2, rel=1e-12)
 
     def test_bad_angles(self):
-        for bad in ("15", {"deg": 1, "rad": 2}, {"grad": 3}, True, [1], {"deg": "15"},
+        for bad in ("15", "xdeg", {"deg": 1, "rad": 2}, {"grad": 3}, True, [1], {"deg": "15"},
                     {"rad": True}, {"deg": [1]}, 10**400):
             with pytest.raises(lp.ScenarioError) as err:
                 parse_angle(bad)
             assert err.value.code == "ANGLE_INVALID"
+
+    def test_messages_name_the_field(self):
+        for bad, path in (("abc", "poses[0].yaw"), ({"deg": "15"}, "poses[0].yaw.deg"),
+                          ({"grad": 3}, "poses[0].yaw"), (True, "poses[0].yaw")):
+            with pytest.raises(lp.ScenarioError, match=re.escape(path)):
+                parse_angle(bad, "poses[0].yaw")
 
 
 class TestParsing:
@@ -108,6 +116,32 @@ class TestParsing:
         assert scenario.odr.obj.dims.tolist() == [0.5, 0.5, 1.7]
         assert scenario.odr.trials == 1000
         assert scenario.odr.threshold == 1
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        scenario = parse_scenario(minimal_scenario(abc={"num_bees": 8, "max_iterations": 10}))
+        pose = parse_pose({"position": [1.0, 2.0, 3.0]})
+        for parsed, spec in ((scenario.abc, lp.AbcParams), (scenario.odr, lp.OdrSettings),
+                             (scenario.roi, lp.RoiSpec), (pose, lp.PoseConfig)):
+            for f in dataclasses.fields(spec):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(parsed, f.name) == f.default, f.name
+
+    def test_single_beam_evenly_spaced_model_sits_at_the_midpoint(self):
+        spaced = {"b2": {"evenly_spaced": {"count": 1, "start": -0.2, "stop": 0.4}}}
+        model = parse_scenario(minimal_scenario(models=spaced)).models["b2"]
+        assert model.beam_pitches.tolist() == [pytest.approx(0.1, rel=1e-12)]
+
+
+def _set(*path_and_value):
+    """A change that sets ``data[path...] = value`` on a scenario dict."""
+    *path, key, value = path_and_value
+
+    def change(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+
+    return change
 
 
 class TestNamedErrors:
@@ -281,6 +315,91 @@ class TestNamedErrors:
         data = minimal_scenario()
         data["roi"]["extent"] = [10**400, 8.0, 4.0]
         self.expect(data, "SCHEMA_FIELD")
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            (_set("models", {}), "SCHEMA_FIELD"),
+            (_set("lidars", 0, "count", 0), "SCHEMA_INVALID"),
+            (_set("models", "b2", "beam_pitches", []), "SCHEMA_INVALID"),
+            (_set("models", "b2", "beam_pitches", [float("nan")]), "SCHEMA_INVALID"),
+        ],
+        ids=["no-models", "zero-count", "no-beams", "nan-pitch"],
+    )
+    def test_empty_or_non_finite_sensor_fields(self, change, code):
+        data = minimal_scenario()
+        change(data)
+        self.expect(data, code)
+
+    @pytest.mark.parametrize(
+        "change, path",
+        [
+            (_set("bounds", "lower", 3, "abc"), "bounds.lower.yaw"),
+            (_set("bounds", "upper", 5, {"deg": "1"}), "bounds.upper.roll.deg"),
+            (_set("models", "b2", "beam_pitches", 1, "15"), "models.b2.beam_pitches[1]"),
+            (_set("models", "b2", {"evenly_spaced": {"count": 2, "start": "x", "stop": 1}}),
+             "models.b2.evenly_spaced.start"),
+        ],
+        ids=["bound-yaw", "bound-roll-deg", "beam-pitch", "evenly-spaced-start"],
+    )
+    def test_angle_errors_name_their_field(self, change, path):
+        data = minimal_scenario()
+        change(data)
+        with pytest.raises(lp.ScenarioError, match=re.escape(path)) as err:
+            parse_scenario(data)
+        assert err.value.code == "ANGLE_INVALID"
+
+    def test_bound_vector_position_is_checked_before_its_angles(self):
+        data = minimal_scenario()
+        data["bounds"]["lower"][1], data["bounds"]["lower"][3] = "wide", "abc"
+        with pytest.raises(lp.ScenarioError, match=re.escape("bounds.lower.position")) as err:
+            parse_scenario(data)
+        assert err.value.code == "SCHEMA_FIELD"
+
+
+class TestUnknownFields:
+    REGION = {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (_set("roi", "exclude_boxes", [REGION]), "unknown field roi.exclude_boxes"),
+            (_set("abc", "abandonmnet_threshold", 5), "unknown field abc.abandonmnet_threshold"),
+            (_set("lidars", 0, "cout", 3), "unknown field lidars[0].cout"),
+            (_set("odr", {"trial": 50}), "unknown field odr.trial"),
+            (_set("odr", {"placement_regoin": REGION}), "unknown field odr.placement_regoin"),
+            (_set("oddr", {}), "unknown field oddr"),
+            (_set("models", "b2", "evenly_spaced", {"count": 2, "start": -0.2, "stop": 0.2}),
+             "models.b2 needs exactly one of beam_pitches, evenly_spaced"),
+            (_set("roi", "excluded_boxes", [dict(REGION, mx=0)]),
+             "unknown field roi.excluded_boxes[0].mx"),
+        ],
+        ids=["roi-exclude-boxes", "abc-abandonmnet", "lidar-cout", "odr-trial",
+             "odr-placement-regoin", "top-level-oddr", "model-with-both-forms", "box-field"],
+    )
+    def test_rejected_with_its_path(self, change, message):
+        data = minimal_scenario()
+        change(data)
+        with pytest.raises(lp.ScenarioError, match=re.escape(message)) as err:
+            parse_scenario(data)
+        assert err.value.code == "SCHEMA_FIELD"
+
+    def test_pose_entry_field(self):
+        with pytest.raises(lp.ScenarioError, match=re.escape("unknown field poses[0].pich")) as err:
+            parse_pose({"position": [1.0, 2.0, 3.0], "pich": 0.5}, "poses[0]")
+        assert err.value.code == "SCHEMA_FIELD"
+
+    def test_schema_version_is_checked_first(self):
+        with pytest.raises(lp.ScenarioError) as err:
+            parse_scenario(minimal_scenario(schema_version=2, oddr={}))
+        assert err.value.code == "SCHEMA_VERSION"
+
+    def test_canonical_form_uses_known_fields_only(self):
+        # with every optional object present, the canonical form writes each field
+        data = minimal_scenario(odr={"placement_region": self.REGION})
+        data["roi"]["excluded_boxes"] = [self.REGION]
+        canonical = lp.canonical_dict(parse_scenario(data))
+        assert lp.canonical_dict(parse_scenario(canonical)) == canonical
 
 
 SHIPPED = [
