@@ -54,8 +54,9 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_MISSING = 4
 
-# Voxel rows formatted per write, which bounds the exporter's memory.
-_WRITE_BLOCK = 4096
+# Rows formatted per write by the voxel and subspace writers, which bounds
+# the text they hold at once.
+_WRITE_BLOCK = 1024
 
 # Most objective threads a command may start.  A fixed cap gives the same
 # error on every machine; a colony's pool would otherwise start one thread
@@ -90,25 +91,6 @@ def _pose_dict(pose: PoseConfig) -> dict:
     }
 
 
-def _subspace_rows(report: cost.PlacementReport) -> list[dict]:
-    """One row per subspace, adding ``3 * vsr`` as the inscribed-radius estimate."""
-    columns = (report.codes, report.voxel_count, report.volume, report.surface_area, report.vsr)
-    return [
-        {
-            "component": component,
-            "code": code,
-            "voxel_count": voxel_count,
-            "volume": volume,
-            "surface_area": surface_area,
-            "vsr": vsr,
-            "inscribed_radius_estimate": 3.0 * vsr,
-        }
-        for component, (code, voxel_count, volume, surface_area, vsr) in enumerate(
-            zip(*(column.tolist() for column in columns))
-        )
-    ]
-
-
 @contextlib.contextmanager
 def _output(path: Path):
     """Report an ``OSError`` while creating or writing ``path`` as ``OUT_INVALID``."""
@@ -124,8 +106,39 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, payload: dict, report: cost.PlacementReport | None = None) -> None:
+    """Write ``payload`` as ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+
+    With ``report``, its subspace table is ``payload["subspaces"]``, adding
+    ``3 * vsr`` as the inscribed-radius estimate.  Its rows are formatted
+    from one template per ``_WRITE_BLOCK`` rows and written between the
+    halves of the stdlib dump of the rest, split at a ``"subspaces": []``
+    placeholder, so neither row dicts nor the whole text are ever held.
+    """
+    if report is None:
+        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    text = json.dumps({**payload, "subspaces": []}, sort_keys=True, indent=2)
+    head, _, tail = text.partition('\n  "subspaces": []')
+    code = ",".join(["\n        %d"] * report.codes.shape[1])
+    template = (
+        '\n    {\n      "code": [' + code + '\n      ],\n      "component": %d,'
+        '\n      "inscribed_radius_estimate": %r,\n      "surface_area": %r,'
+        '\n      "volume": %r,\n      "voxel_count": %d,\n      "vsr": %r\n    }'
+    )
+    count = report.vsr.size
+    with _output(path), open(path, "w", encoding="utf-8") as file:
+        file.write(head + '\n  "subspaces": [')
+        for start in range(0, count, _WRITE_BLOCK):
+            block = slice(start, min(start + _WRITE_BLOCK, count))
+            vsr = report.vsr[block]
+            columns = (
+                *report.codes[block].T, np.arange(block.start, block.stop), 3.0 * vsr,
+                report.surface_area[block], report.volume[block], report.voxel_count[block], vsr,
+            )
+            rows = ",".join([template % row for row in zip(*(c.tolist() for c in columns))])
+            file.write("," + rows if start else rows)
+        file.write("\n  ]" + tail + "\n")
 
 
 def _write_convergence_csv(path: Path, history: np.ndarray) -> None:
@@ -143,14 +156,21 @@ def _write_voxel_export(out_dir: Path, grid, report: cost.PlacementReport) -> tu
     csv_path = out_dir / "voxels.csv"
     ply_path = out_dir / "voxels.ply"
     n = grid.num_active
+    ny = grid.dims[1]
 
-    # Each string is formatted once: a voxel's center coordinate on an axis
-    # is that axis's coordinate at its index, and every voxel of a component
-    # carries the component's code and color.
+    # A row is three pieces, each formatted once: the x and y of its (i, j)
+    # column, the z of its layer, and the code or color of its component.
     xs, ys, zs = ([_fmt(c) for c in axis] for axis in grid.axis_centers)
-    comp = report.component_ids
-    codes = ["-".join(map(str, row)) for row in report.codes.tolist()]
+
+    def pieces(sep: str, tails: list[str]) -> list[np.ndarray]:
+        columns = [f"{x}{sep}{y}{sep}" for x in xs for y in ys]
+        layers = [f"{z}{sep}" for z in zs]
+        return [np.array(piece, dtype=object) for piece in (columns, layers, tails)]
+
+    codes = ["-".join(map(str, code)) for code in report.codes.tolist()]
+    csv_pieces = pieces(",", [f"{code},{c}\n" for c, code in enumerate(codes)])
     colors = [" ".join(map(str, _component_color(c))) for c in range(len(codes))]
+    ply_pieces = pieces(" ", [f"{color}\n" for color in colors])
 
     header = [
         "ply",
@@ -171,12 +191,11 @@ def _write_voxel_export(out_dir: Path, grid, report: cost.PlacementReport) -> tu
         ply_file.write("\n".join(header) + "\n")
         for start in range(0, n, _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
-            rows = [
-                (xs[i], ys[j], zs[k], c)
-                for (i, j, k), c in zip(grid.active_indices[block].tolist(), comp[block].tolist())
-            ]
-            csv_file.write("".join(f"{x},{y},{z},{codes[c]},{c}\n" for x, y, z, c in rows))
-            ply_file.write("".join(f"{x} {y} {z} {colors[c]}\n" for x, y, z, c in rows))
+            i, j, k = grid.active_indices[block].T
+            keys = (i * ny + j, k, report.component_ids[block])
+            for file, parts in ((csv_file, csv_pieces), (ply_file, ply_pieces)):
+                rows = np.stack([part[key] for part, key in zip(parts, keys)], axis=1)
+                file.write("".join(rows.ravel().tolist()))
     return csv_path, ply_path
 
 
@@ -261,13 +280,13 @@ def cmd_optimize(args) -> int:
             "seed": scenario.abc.rng_seed,
             "objective": float(result.best_cost),
             "best_poses": [_pose_dict(p) for p in poses],
-            "subspaces": _subspace_rows(report),
             "files": {
                 "convergence": "convergence.csv",
                 "voxels_csv": csv_path.name,
                 "voxels_ply": ply_path.name,
             },
         },
+        report,
     )
 
     print(f"scenario digest: {digest}")
@@ -286,7 +305,6 @@ def cmd_evaluate(args) -> int:
     _warn_out_of_bounds(poses, scenario.bounds)
 
     report = cost.evaluate_placement(poses, models, scenario.grid)
-    rows = _subspace_rows(report)
     _write_json(
         out / "evaluation.json",
         {
@@ -295,14 +313,15 @@ def cmd_evaluate(args) -> int:
             "scenario": canonical_dict(scenario),
             "poses": [_pose_dict(p) for p in poses],
             "objective": report.objective,
-            "subspaces": rows,
         },
+        report,
     )
-    print(f"objective (max VSR): {report.objective:.6f} m over {len(rows)} subspaces")
-    worst = rows[int(np.argmax(report.vsr))]
+    print(f"objective (max VSR): {report.objective:.6f} m over {report.vsr.size} subspaces")
+    worst = int(np.argmax(report.vsr))
     print(
-        f"worst subspace: component {worst['component']} code "
-        f"{'-'.join(str(d) for d in worst['code'])} with {worst['voxel_count']} voxels"
+        f"worst subspace: component {worst} code "
+        f"{'-'.join(str(d) for d in report.codes[worst].tolist())} "
+        f"with {report.voxel_count[worst]} voxels"
     )
     return EXIT_OK
 

@@ -144,7 +144,14 @@ def _fields(data, context: str, parsers: dict, required=()) -> dict:
 
 
 def parse_angle(value, context: str = "angle") -> float:
-    """Angle in radians from a number, ``{"deg"|"rad": x}``, or ``"15deg"``."""
+    """Finite angle in radians from a number, ``{"deg"|"rad": x}``, or ``"15deg"``."""
+    angle = _angle(value, context)
+    if not math.isfinite(angle):
+        raise ScenarioError("ANGLE_INVALID", f"{context} must be finite, got {value!r}")
+    return angle
+
+
+def _angle(value, context: str) -> float:
     if isinstance(value, dict):
         if set(value) == {"deg"}:
             return math.radians(_number(value["deg"], f"{context}.deg", "ANGLE_INVALID"))

@@ -7,6 +7,7 @@ never calls into the production code paths it verifies.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -257,6 +258,31 @@ def voxel_export_ref(centers, labels, comp):
         r, g, b = component_color_ref(int(ident))
         ply.append(f"{x} {y} {z} {r} {g} {b}")
     return "\n".join(csv) + "\n", "\n".join(ply) + "\n"
+
+
+def subspace_rows_ref(report):
+    """One row dict per subspace, adding ``3 * vsr`` as the inscribed-radius estimate."""
+    columns = (report.codes, report.voxel_count, report.volume, report.surface_area, report.vsr)
+    return [
+        {
+            "component": component,
+            "code": code,
+            "voxel_count": voxel_count,
+            "volume": volume,
+            "surface_area": surface_area,
+            "vsr": vsr,
+            "inscribed_radius_estimate": 3.0 * vsr,
+        }
+        for component, (code, voxel_count, volume, surface_area, vsr) in enumerate(
+            zip(*(column.tolist() for column in columns))
+        )
+    ]
+
+
+def record_json_ref(payload, report):
+    """A record's text: ``json.dumps(indent=2)`` over ``payload`` plus the subspace row dicts."""
+    record = dict(payload, subspaces=subspace_rows_ref(report))
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def vsr_odr_scatter_ref(models, grid, bounds, settings, seed, samples):

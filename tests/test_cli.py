@@ -21,7 +21,7 @@ from lidarplace.geometry import MAX_VOXELS
 from lidarplace.odr import MAX_TRIALS
 from lidarplace.scenario import MAX_SENSORS
 from grids import voxel_centers
-from oracles import brute_force_max_vsr, voxel_export_ref
+from oracles import brute_force_max_vsr, record_json_ref, voxel_export_ref
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -499,11 +499,12 @@ class TestInputsCheckedBeforeOut:
             ({"position": [4.0, float("nan"), 3.0]}, "finite"),
             ({"position": [4.0, 4.0]}, "3-element"),
             ({"position": [4.0, 4.0, 3.0], "yaw": "abc"}, "deg/rad suffix"),
+            ({"position": [4.0, 4.0, 3.0], "yaw": "infdeg"}, ".yaw must be finite"),
             (5, "missing"),
             ({"position": [4.0, 4.0, 3.0], "pich": 0.5}, "unknown field"),
         ],
-        ids=["nan-coordinate", "two-element-position", "yaw-not-an-angle", "bare-number",
-             "misspelled-field"],
+        ids=["nan-coordinate", "two-element-position", "yaw-not-an-angle", "infinite-yaw",
+             "bare-number", "misspelled-field"],
     )
     @pytest.mark.parametrize(
         "argv, code, context",
@@ -923,6 +924,82 @@ class TestVoxelWriters:
         csv_text, ply_text = voxel_export_ref(voxel_centers(grid), labels, report.component_ids)
         assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
         assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
+
+
+# Axis centers whose reprs have an exponent (5e-06, 1.5e+16) or are integral
+# (3.0): 17 x 15 x 14 voxels less a 3 x 3 x 3 corner, 3 543 in all.
+ODD_REPR_ROI = lp.RoiSpec(
+    extent=[17e-05, 30.0, 14e16],
+    resolution=[1e-05, 2.0, 1e16],
+    excluded_boxes=[lp.Box(minimum=[0.0, 0.0, 0.0], maximum=[3e-05, 6.0, 3e16])],
+)
+
+
+def _random_report(grid, sensors: int, count: int, seed: int) -> lp.PlacementReport:
+    """A report over ``grid`` with ``count`` subspaces and random columns.
+
+    Its float columns span many decades and include values whose repr has an
+    exponent or is integral.
+    """
+    rng = np.random.default_rng(seed)
+    spare = rng.integers(0, count, grid.num_active - count)
+    comp = rng.permutation(np.concatenate([np.arange(count), spare]))
+
+    def floats():
+        values = rng.lognormal(0.0, 25.0, count)
+        odd = rng.random(count) < 0.3
+        values[odd] = rng.choice([1e-05, 1e16, 3.0, 0.1, 2.5e-300], odd.sum())
+        return values
+
+    vsr = floats()
+    codes = rng.integers(0, 17, (count, sensors)).astype(np.uint8)
+    voxel_count = rng.integers(1, 10**6, count)
+    return lp.PlacementReport(float(vsr.max()), comp, codes, voxel_count, floats(), floats(), vsr)
+
+
+class TestWriterOracles:
+    """The block writers against the per-row references on randomized reports."""
+
+    COUNT = 3 * 1024 + 77
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        grid = lp.build_voxel_grid(ODD_REPR_ROI)
+        assert grid.num_active == 3543
+        return grid
+
+    def test_counts_span_blocks_unevenly(self, grid):
+        for rows in (grid.num_active, self.COUNT):
+            assert rows > 3 * cli._WRITE_BLOCK and rows % cli._WRITE_BLOCK
+
+    @pytest.mark.parametrize("sensors", [1, 9])
+    @pytest.mark.parametrize("block", [7, cli._WRITE_BLOCK])
+    def test_voxel_export(self, tmp_path, grid, sensors, block):
+        report = _random_report(grid, sensors, self.COUNT, seed=sensors)
+        with mock.patch.object(cli, "_WRITE_BLOCK", block):
+            cli._write_voxel_export(tmp_path, grid, report)
+        labels = report.codes[report.component_ids]
+        csv_text, ply_text = voxel_export_ref(voxel_centers(grid), labels, report.component_ids)
+        assert (tmp_path / "voxels.csv").read_bytes() == csv_text.encode("utf-8")
+        assert (tmp_path / "voxels.ply").read_bytes() == ply_text.encode("utf-8")
+
+    @pytest.mark.parametrize("sensors", [1, 9])
+    @pytest.mark.parametrize("block", [7, cli._WRITE_BLOCK])
+    def test_record_json(self, tmp_path, grid, sensors, block):
+        report = _random_report(grid, sensors, self.COUNT, seed=10 + sensors)
+        # keys that sort before and after "subspaces", nested and float-valued
+        payload = {
+            "command": "evaluate",
+            "objective": report.objective,
+            "poses": [{"position": [1e-05, 3.0, 1e16], "yaw": 0.0}] * sensors,
+            "scenario": {"roi": {"extent": [8.0, 6.0], "excluded_boxes": []}},
+            "threshold": 1,
+            "zone": {"subspaces": []},
+        }
+        with mock.patch.object(cli, "_WRITE_BLOCK", block):
+            cli._write_json(tmp_path / "record.json", payload, report)
+        expected = record_json_ref(payload, report)
+        assert (tmp_path / "record.json").read_bytes() == expected.encode("utf-8")
 
 
 class TestBundledScenarios:

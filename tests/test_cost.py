@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from grids import blob_grid, blob_metrics, single_component_metrics
-from lidarplace import cli, segmentation
+from lidarplace import segmentation
 from oracles import (
     assert_valid_partition,
     brute_force_max_vsr,
     component_vsr,
     exposed_face_area,
     flood_fill_components,
+    subspace_rows_ref,
 )
 
 RES = np.array([1.0, 0.5, 0.2])
@@ -141,7 +142,7 @@ class TestVsr:
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[60, 20, 4], resolution=RES))
         model = lp.LidarModel(beam_pitches=[math.radians(5), math.radians(15)])
         pose = lp.PoseConfig(position=[30.0, 10.0, 4.5])  # every cone clears the ROI
-        (row,) = cli._subspace_rows(lp.evaluate_placement([pose], [model], grid))
+        (row,) = subspace_rows_ref(lp.evaluate_placement([pose], [model], grid))
         assert row["vsr"] == pytest.approx(4800.0 / 3040.0, rel=1e-12)
         assert row["inscribed_radius_estimate"] == pytest.approx(3 * 4800.0 / 3040.0, rel=1e-12)
         assert row["vsr"] > 0
@@ -233,7 +234,7 @@ class TestMaxVsr:
         pose = lp.PoseConfig(position=[4.0, 4.0, 3.0])
         grid = lp.build_voxel_grid(roi)
         report = lp.evaluate_placement([pose], [model], grid)
-        rows = cli._subspace_rows(report)
+        rows = subspace_rows_ref(report)
         assert report.objective == max(row["vsr"] for row in rows)
         assert rows[int(np.argmax(report.vsr))]["vsr"] == report.objective
         total = sum(row["voxel_count"] for row in rows)

@@ -52,7 +52,8 @@ class TestAngles:
 
     def test_bad_angles(self):
         for bad in ("15", "xdeg", {"deg": 1, "rad": 2}, {"grad": 3}, True, [1], {"deg": "15"},
-                    {"rad": True}, {"deg": [1]}, 10**400):
+                    {"rad": True}, {"deg": [1]}, 10**400, "infdeg", "nanrad", "1e400deg",
+                    {"deg": math.nan}, {"rad": -math.inf}, math.inf, math.nan):
             with pytest.raises(lp.ScenarioError) as err:
                 parse_angle(bad)
             assert err.value.code == "ANGLE_INVALID"
@@ -322,7 +323,7 @@ class TestNamedErrors:
             (_set("models", {}), "SCHEMA_FIELD"),
             (_set("lidars", 0, "count", 0), "SCHEMA_INVALID"),
             (_set("models", "b2", "beam_pitches", []), "SCHEMA_INVALID"),
-            (_set("models", "b2", "beam_pitches", [float("nan")]), "SCHEMA_INVALID"),
+            (_set("models", "b2", "beam_pitches", [float("nan")]), "ANGLE_INVALID"),
         ],
         ids=["no-models", "zero-count", "no-beams", "nan-pitch"],
     )
