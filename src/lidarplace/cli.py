@@ -42,6 +42,7 @@ from .scenario import (
     load_scenario,
     parse_pose,
     parse_scenario,
+    pose_dict,
     read_json,
     scenario_digest,
     with_seed,
@@ -63,6 +64,11 @@ _WRITE_BLOCK = 1024
 # per trial of a phase, up to ``--threads``.
 MAX_THREADS = 64
 
+# Most configurations ``odr --scatter`` may sample, as many as an estimate's
+# trials: every sample's point and CSV row are held until the CSV is written,
+# some 300 bytes a sample, so a scatter holds at most ~300 MiB.
+MAX_SCATTER = 2**20
+
 # glibc mallopt parameters and the values a command runs with: blocks up to
 # 16 MiB come from the heap, and up to 256 MiB of free heap top is kept.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -80,15 +86,6 @@ class CliError(Exception):
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal form; identical on every run."""
     return repr(float(value))
-
-
-def _pose_dict(pose: PoseConfig) -> dict:
-    return {
-        "position": [float(c) for c in pose.position],
-        "yaw": float(pose.yaw),
-        "pitch": float(pose.pitch),
-        "roll": float(pose.roll),
-    }
 
 
 @contextlib.contextmanager
@@ -279,7 +276,7 @@ def cmd_optimize(args) -> int:
             "scenario": canonical_dict(scenario),
             "seed": scenario.abc.rng_seed,
             "objective": float(result.best_cost),
-            "best_poses": [_pose_dict(p) for p in poses],
+            "best_poses": [pose_dict(p) for p in poses],
             "files": {
                 "convergence": "convergence.csv",
                 "voxels_csv": csv_path.name,
@@ -311,7 +308,7 @@ def cmd_evaluate(args) -> int:
             "command": "evaluate",
             "scenario_digest": scenario_digest(scenario),
             "scenario": canonical_dict(scenario),
-            "poses": [_pose_dict(p) for p in poses],
+            "poses": [pose_dict(p) for p in poses],
             "objective": report.objective,
         },
         report,
@@ -331,10 +328,10 @@ def cmd_sweep(args) -> int:
     counts = [part for part in (args.counts or "").split(",") if part != ""]
     if not counts:
         raise CliError("SWEEP_EMPTY", "--counts must list at least one sensor count", EXIT_USAGE)
-    try:
-        counts = [int(c) for c in counts]
-    except ValueError as exc:
-        raise CliError("SWEEP_EMPTY", f"--counts entries must be integers: {exc}", EXIT_USAGE)
+    # int() would also read "1_0" as 10 and non-ASCII digits, so a typo could pick a count
+    if not all(c.strip().isascii() and c.strip().isdigit() for c in counts):
+        raise CliError("SWEEP_EMPTY", f"--counts entries must be digits 0-9: {args.counts!r}", EXIT_USAGE)
+    counts = [int(c) for c in counts]
     if any(not 1 <= c <= MAX_SENSORS for c in counts):
         raise CliError("SWEEP_EMPTY", f"--counts entries must lie in [1, {MAX_SENSORS}]", EXIT_USAGE)
 
@@ -416,7 +413,7 @@ def cmd_odr(args) -> int:
         "detections": report.detections,
         "odr": report.odr,
         "threshold": report.threshold,
-        "poses": [_pose_dict(p) for p in poses],
+        "poses": [pose_dict(p) for p in poses],
     }
 
     if args.scatter:
@@ -516,8 +513,10 @@ def _check_ranges(args) -> None:
         raise CliError(
             "ARG_RANGE", f"--threads must lie in [1, {MAX_THREADS}], got {args.threads}", EXIT_USAGE
         )
-    if getattr(args, "scatter", 0) < 0:
-        raise CliError("ARG_RANGE", f"--scatter must be >= 0, got {args.scatter}", EXIT_USAGE)
+    if not 0 <= getattr(args, "scatter", 0) <= MAX_SCATTER:
+        raise CliError(
+            "ARG_RANGE", f"--scatter must lie in [0, {MAX_SCATTER}], got {args.scatter}", EXIT_USAGE
+        )
 
 
 def _keep_freed_memory() -> None:

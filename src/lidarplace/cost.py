@@ -128,39 +128,36 @@ def evaluate_placement(
     return PlacementReport(float(ratios.max()), comp, labels[member], sizes, vol, sa, ratios)
 
 
-def poses_from_vector(vector, num_lidars: int) -> tuple[PoseConfig, ...]:
-    """Decode an optimizer decision vector into poses.
+# Where each of a sensor's decision variables sits in ``PoseConfig.as_vector()``
+# order ``[x, y, z, yaw, pitch, roll]``: the decision vector holds
+# ``(x, y, z, pitch, roll)`` per sensor.  Yaw, left out, is held at zero: it
+# turns the direction a tilted sensor leans, but pitch and roll together
+# already reach every tilt direction.
+_DECISION_SLOTS = np.array([0, 1, 2, 4, 5])
 
-    Each LiDAR contributes five variables ``(x, y, z, pitch, roll)``.  Yaw is
-    held at zero: it turns the direction a tilted sensor leans, but pitch and
-    roll together already reach every tilt direction.
-    """
+
+def poses_from_vector(vector, num_lidars: int) -> tuple[PoseConfig, ...]:
+    """Decode an optimizer decision vector (see ``_DECISION_SLOTS``) into poses."""
+    width = len(_DECISION_SLOTS)
     vec = np.asarray(vector, dtype=float)
-    if vec.shape != (5 * num_lidars,):
-        raise ValueError(f"expected a {5 * num_lidars}-vector for {num_lidars} LiDARs")
-    return tuple(
-        PoseConfig(
-            position=vec[5 * i : 5 * i + 3],
-            yaw=0.0,
-            pitch=float(vec[5 * i + 3]),
-            roll=float(vec[5 * i + 4]),
-        )
-        for i in range(num_lidars)
-    )
+    if vec.shape != (width * num_lidars,):
+        raise ValueError(f"expected a {width * num_lidars}-vector for {num_lidars} LiDARs")
+    rows = np.zeros((num_lidars, 6))
+    rows[:, _DECISION_SLOTS] = vec.reshape(num_lidars, width)
+    return tuple(PoseConfig(row[:3], *row[3:].tolist()) for row in rows)
 
 
 def decision_bounds(bounds: PoseBounds, num_lidars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Box bounds for the stacked ``(x, y, z, pitch, roll)`` decision vector.
+    """Box bounds for the stacked decision vector (see ``_DECISION_SLOTS``).
 
-    Yaw is not optimized but held at 0 (see :func:`poses_from_vector`), so the
-    yaw range of ``bounds`` must include 0.
+    Yaw is not optimized but held at 0, so the yaw range of ``bounds`` must
+    include 0.
     """
     if num_lidars < 1:
         raise ValueError("num_lidars must be >= 1")
     if not bounds.lower.yaw <= 0.0 <= bounds.upper.yaw:
         raise ValueError("yaw is held at 0, so the yaw range must include 0")
-    lo = np.concatenate([bounds.lower.position, [bounds.lower.pitch, bounds.lower.roll]])
-    hi = np.concatenate([bounds.upper.position, [bounds.upper.pitch, bounds.upper.roll]])
+    lo, hi = (limit.as_vector()[_DECISION_SLOTS] for limit in (bounds.lower, bounds.upper))
     return np.tile(lo, num_lidars), np.tile(hi, num_lidars)
 
 

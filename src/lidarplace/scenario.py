@@ -40,6 +40,7 @@ __all__ = [
     "Scenario",
     "parse_angle",
     "parse_pose",
+    "pose_dict",
     "parse_scenario",
     "read_json",
     "load_scenario",
@@ -185,27 +186,40 @@ def _box(data, context: str) -> Box:
     return _build(Box, context, minimum=box["min"], maximum=box["max"])
 
 
+def _boxes(value, context: str) -> tuple[Box, ...]:
+    return tuple(_box(box, f"{context}[{i}]") for i, box in enumerate(_list(value, context)))
+
+
+# Field tables: each JSON field an object takes, with its parser.  The parsed
+# object holds each field under the same name (odr's test object aside, see
+# ``_ODR_OBJECT``), and :func:`canonical_dict` and :func:`pose_dict` write the
+# fields back from these tables.  The pose fields run in
+# ``PoseConfig.as_vector()`` order.
+_POSE_FIELDS = {"position": _vec, "yaw": parse_angle, "pitch": parse_angle, "roll": parse_angle}
+_ROI_FIELDS = {"extent": _vec, "resolution": _vec, "excluded_boxes": _boxes}
+_ABC_FIELDS = {"num_bees": _integer, "max_iterations": _integer, "abandonment_threshold": _integer,
+               "rng_seed": _integer, "mutate_all_dims": _bool}
+_ODR_FIELDS = {"object_dims": _vec, "placement_region": _box, "trials": _integer, "threshold": _integer}
+# The odr fields that ``OdrSettings.obj`` holds, with their ``ObjectSpec`` names.
+_ODR_OBJECT = {"object_dims": "dims", "placement_region": "placement_region"}
+
+
 def parse_pose(data, context: str = "pose") -> PoseConfig:
     """Pose from ``{"position": [x,y,z], "yaw": a, "pitch": b, "roll": c}``.
 
     Omitted angles default to zero; angle values take any accepted form.
     """
-    parsers = {"position": _vec, "yaw": parse_angle, "pitch": parse_angle, "roll": parse_angle}
-    return _build(PoseConfig, context, **_fields(data, context, parsers, ("position",)))
+    return _build(PoseConfig, context, **_fields(data, context, _POSE_FIELDS, ("position",)))
 
 
 def _parse_bound_vector(value, context: str) -> PoseConfig:
     if not isinstance(value, (list, tuple)) or len(value) != 6:
         raise ScenarioError("SCHEMA_FIELD", f"{context} must list [x, y, z, yaw, pitch, roll]")
-    return parse_pose(dict(position=value[:3], yaw=value[3], pitch=value[4], roll=value[5]), context)
+    return parse_pose(dict(zip(_POSE_FIELDS, [value[:3], *value[3:]])), context)
 
 
 def _parse_roi(data, context: str) -> tuple[RoiSpec, VoxelGrid]:
-    def boxes(value, path):
-        return tuple(_box(box, f"{path}[{i}]") for i, box in enumerate(_list(value, path)))
-
-    parsers = {"extent": _vec, "resolution": _vec, "excluded_boxes": boxes}
-    roi = _build(RoiSpec, context, **_fields(data, context, parsers, ("extent", "resolution")))
+    roi = _build(RoiSpec, context, **_fields(data, context, _ROI_FIELDS, ("extent", "resolution")))
     grid = build_voxel_grid(roi)
     if grid.num_active == 0:
         raise ScenarioError("SCHEMA_INVALID", f"{context}: the excluded boxes cover every voxel center")
@@ -259,16 +273,13 @@ def _parse_bounds(data, context: str) -> PoseBounds:
 
 
 def _parse_abc(data, context: str) -> AbcParams:
-    parsers = {"num_bees": _integer, "max_iterations": _integer, "abandonment_threshold": _integer,
-               "rng_seed": _integer, "mutate_all_dims": _bool}
-    return _build(AbcParams, context, **_fields(data, context, parsers, ("num_bees", "max_iterations")))
+    return _build(AbcParams, context, **_fields(data, context, _ABC_FIELDS, ("num_bees", "max_iterations")))
 
 
 def _parse_odr(data, context: str) -> OdrSettings:
-    parsers = {"object_dims": _vec, "placement_region": _box, "trials": _integer, "threshold": _integer}
-    settings = _fields(data, context, parsers)
-    dims = settings.pop("object_dims", [0.5, 0.5, 1.7])
-    obj = _build(ObjectSpec, context, dims=dims, placement_region=settings.pop("placement_region", None))
+    settings = _fields(data, context, _ODR_FIELDS)
+    spec = {attr: settings.pop(name) for name, attr in _ODR_OBJECT.items() if name in settings}
+    obj = _build(ObjectSpec, context, **{"dims": [0.5, 0.5, 1.7], **spec})
     return _build(OdrSettings, context, obj=obj, **settings)
 
 
@@ -315,55 +326,45 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(read_json(path, "SCHEMA_INVALID"))
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=float)]
+def _json(value):
+    """JSON form of a parsed value: arrays as lists of floats, tuples as lists, boxes as min/max."""
+    if isinstance(value, Box):
+        return {"min": _json(value.minimum), "max": _json(value.maximum)}
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.astype(float).tolist()
+    return value
+
+
+def _record(obj, names, attrs: dict | None = None) -> dict:
+    """``obj``'s fields ``names`` in JSON form, read as ``attrs[name]`` if given; ``None`` left out."""
+    values = {name: getattr(obj, (attrs or {}).get(name, name)) for name in names}
+    return {name: _json(value) for name, value in values.items() if value is not None}
+
+
+def pose_dict(pose: PoseConfig) -> dict:
+    """JSON object of ``pose``, angles in radians; :func:`parse_pose` reads it back exactly."""
+    return _record(pose, _POSE_FIELDS)
 
 
 def canonical_dict(scenario: Scenario) -> dict:
     """Canonical plain-JSON form: radians everywhere, stable field set.
 
-    Parsing the canonical form reproduces the scenario exactly, so
-    parse -> serialize -> parse is the identity.
+    roi, abc and odr are written from their field tables.  Parsing the canonical
+    form reproduces the scenario exactly: parse -> serialize -> parse is the identity.
     """
-    out = {
+    odr, bounds, models = scenario.odr, scenario.bounds, sorted(scenario.models.items())
+    return {
         "schema_version": SCHEMA_VERSION,
-        "roi": {
-            "extent": _floats(scenario.roi.extent),
-            "resolution": _floats(scenario.roi.resolution),
-            "excluded_boxes": [
-                {"min": _floats(b.minimum), "max": _floats(b.maximum)}
-                for b in scenario.roi.excluded_boxes
-            ],
-        },
-        "models": {
-            name: {"beam_pitches": _floats(model.beam_pitches)}
-            for name, model in sorted(scenario.models.items())
-        },
+        "roi": _record(scenario.roi, _ROI_FIELDS),
+        "models": {name: {"beam_pitches": _json(m.beam_pitches)} for name, m in models},
         "lidars": [{"model": name, "count": count} for name, count in scenario.lidars],
-        "bounds": {
-            "lower": _floats(scenario.bounds.lower.as_vector()),
-            "upper": _floats(scenario.bounds.upper.as_vector()),
-        },
-        "abc": {
-            "num_bees": scenario.abc.num_bees,
-            "max_iterations": scenario.abc.max_iterations,
-            "abandonment_threshold": scenario.abc.abandonment_threshold,
-            "rng_seed": scenario.abc.rng_seed,
-            "mutate_all_dims": scenario.abc.mutate_all_dims,
-        },
-        "odr": {
-            "object_dims": _floats(scenario.odr.obj.dims),
-            "trials": scenario.odr.trials,
-            "threshold": scenario.odr.threshold,
-        },
+        "bounds": {"lower": _json(bounds.lower.as_vector()), "upper": _json(bounds.upper.as_vector())},
+        "abc": _record(scenario.abc, _ABC_FIELDS),
+        "odr": {**_record(odr.obj, _ODR_OBJECT, _ODR_OBJECT),
+                **_record(odr, [name for name in _ODR_FIELDS if name not in _ODR_OBJECT])},
     }
-    region = scenario.odr.obj.placement_region
-    if region is not None:
-        out["odr"]["placement_region"] = {
-            "min": _floats(region.minimum),
-            "max": _floats(region.maximum),
-        }
-    return out
 
 
 def scenario_digest(scenario: Scenario) -> str:

@@ -246,6 +246,17 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines == ["model,count,best_max_vsr", "b2,2,2.0", "b2,1,1.0", "b2,3,3.0"]
 
+    def test_counts_may_carry_surrounding_spaces(self, tiny_scenario, tmp_path, monkeypatch):
+        def search(models, *args, **kwargs):
+            return None, mock.Mock(best_cost=1.0 / len(models))
+
+        monkeypatch.setattr(lp.cost, "search_placement", search)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--scenario", str(tiny_scenario), "--counts", " 2 ,1, 03", "--out", str(out)]
+        assert main(argv) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines == ["model,count,best_max_vsr", "b2,2,0.5", "b2,1,1.0", "b2,3,0.3333333333333333"]
+
 
 class TestOdr:
     def test_record_driven_odr(self, tiny_scenario, tmp_path):
@@ -463,6 +474,9 @@ class TestInputsCheckedBeforeOut:
             (["sweep", "--counts", f"1,{MAX_SENSORS + 1}"], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", str(2**63)], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1,x"], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", "1_0"], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", "1,\u0662"], "SWEEP_EMPTY", 2),
+            (["sweep", "--counts", "+2"], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", "ghost"], "MODEL_UNKNOWN", 3),
             (["sweep", "--counts", "1", "--models", ","], "SWEEP_EMPTY", 2),
             (["sweep", "--counts", "1", "--models", ""], "SWEEP_EMPTY", 2),
@@ -476,7 +490,8 @@ class TestInputsCheckedBeforeOut:
             "odr-poses-missing", "odr-no-poses", "odr-poses-not-a-list", "odr-pose-count",
             "odr-record-invalid", "odr-record-missing", "odr-record-pose-count",
             "odr-poses-and-record", "sweep-empty", "sweep-count-above-limit",
-            "sweep-count-2**63", "sweep-count-not-an-integer", "sweep-unknown-model",
+            "sweep-count-2**63", "sweep-count-not-an-integer", "sweep-count-underscore",
+            "sweep-count-arabic-indic-digit", "sweep-count-plus-sign", "sweep-unknown-model",
             "sweep-models-comma", "sweep-models-empty",
             "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
             "odr-record-directory",
@@ -683,6 +698,8 @@ class TestInputsCheckedBeforeOut:
         "argv",
         [
             ["odr", "--poses", "{poses}", "--scatter", "-1"],
+            ["odr", "--poses", "{poses}", "--scatter", str(cli.MAX_SCATTER + 1)],
+            ["odr", "--poses", "{poses}", "--scatter", "99999999999999999999"],
             ["odr", "--poses", "{poses}", "--threads", "0"],
             ["evaluate", "--poses", "{poses}", "--threads", "-2"],
             ["optimize", "--threads", "0"],
@@ -690,8 +707,9 @@ class TestInputsCheckedBeforeOut:
             ["optimize", "--threads", str(cli.MAX_THREADS + 1)],
             ["odr", "--poses", "{poses}", "--threads", "1000000000"],
         ],
-        ids=["odr-scatter", "odr-threads", "evaluate-threads", "optimize-threads", "sweep-threads",
-             "optimize-threads-above-cap", "odr-threads-10**9"],
+        ids=["odr-scatter", "odr-scatter-above-cap", "odr-scatter-10**20", "odr-threads",
+             "evaluate-threads", "optimize-threads", "sweep-threads", "optimize-threads-above-cap",
+             "odr-threads-10**9"],
     )
     def test_count_out_of_range_is_usage_error(self, inputs, tmp_path, capsys, argv):
         out = tmp_path / "o"

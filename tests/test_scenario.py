@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from lidarplace import cli
+from lidarplace import scenario as scenario_module
 from lidarplace.bees import MAX_BEES, MAX_ITERATIONS
 from lidarplace.geometry import MAX_VOXELS
 from lidarplace.odr import MAX_TRIALS
@@ -490,3 +491,63 @@ class TestDigest:
         assert reseeded.abc.rng_seed == 999
         assert lp.scenario_digest(base) != lp.scenario_digest(reseeded)
         assert lp.with_seed(base, None) is base
+
+
+class TestWriters:
+    """``canonical_dict`` and ``pose_dict`` write each object from its field table."""
+
+    FULL = minimal_scenario(
+        roi={
+            "extent": [8.0, 8.0, 4.0], "resolution": [1.0, 1.0, 1.0],
+            "excluded_boxes": [{"min": [0, 0, 0], "max": [1, 1, 1]}],
+        },
+        abc={"num_bees": 8, "max_iterations": 10, "abandonment_threshold": 3, "rng_seed": 5,
+             "mutate_all_dims": True},
+        odr={"object_dims": [1, 1, 2], "placement_region": {"min": [0, 0, 0], "max": [2, 2, 1]},
+             "trials": 20, "threshold": 2},
+    )
+
+    @pytest.mark.parametrize("section, table", [("roi", "_ROI_FIELDS"), ("abc", "_ABC_FIELDS"),
+                                                ("odr", "_ODR_FIELDS")])
+    def test_every_optional_field_is_written_and_read_back(self, section, table):
+        for name in getattr(scenario_module, table):
+            assert name in self.FULL[section]
+        canonical = lp.canonical_dict(parse_scenario(self.FULL))
+        assert set(canonical[section]) == set(getattr(scenario_module, table))
+        again = json.loads(json.dumps(canonical))
+        assert lp.canonical_dict(parse_scenario(again)) == canonical
+
+    def test_canonical_values(self):
+        canonical = lp.canonical_dict(parse_scenario(self.FULL))
+        assert canonical["roi"]["excluded_boxes"] == [{"min": [0.0] * 3, "max": [1.0] * 3}]
+        assert canonical["abc"] == self.FULL["abc"]
+        assert canonical["odr"] == {
+            "object_dims": [1.0, 1.0, 2.0],
+            "placement_region": {"min": [0.0, 0.0, 0.0], "max": [2.0, 2.0, 1.0]},
+            "trials": 20, "threshold": 2,
+        }
+        # an absent optional value is left out, not written as null
+        assert "placement_region" not in lp.canonical_dict(parse_scenario(minimal_scenario()))["odr"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"position": [-0.0, 0.0, -0.0], "yaw": -0.0, "pitch": 0.0, "roll": -0.0},
+            {"position": [1, -2, 3], "yaw": {"deg": 15}, "pitch": "-7.5deg", "roll": {"deg": 1e-3}},
+            {"position": [0.1, 5e-324, -2.5]},
+        ],
+        ids=["negative-zero", "degrees-and-integers", "omitted-angles"],
+    )
+    def test_pose_dict_parses_back_bit_for_bit(self, entry):
+        pose = parse_pose(entry)
+        written = lp.pose_dict(pose)
+        assert list(written) == list(scenario_module._POSE_FIELDS)
+        assert all(type(v) is float for v in [*written["position"], *list(written.values())[1:]])
+        again = parse_pose(json.loads(json.dumps(written)))
+        assert again.as_vector().tobytes() == pose.as_vector().tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+    def test_any_finite_pose_parses_back_bit_for_bit(self, values):
+        pose = lp.PoseConfig(values[:3], *values[3:])
+        again = parse_pose(json.loads(json.dumps(lp.pose_dict(pose))))
+        assert again.as_vector().tobytes() == pose.as_vector().tobytes()
