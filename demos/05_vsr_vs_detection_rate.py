@@ -20,8 +20,7 @@ bounds = lp.PoseBounds(
     lower=lp.PoseConfig(position=[2, 2, 2.5]),
     upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
 )
-test_object = lp.ObjectSpec(dims=[2.0, 2.0, 2.0])
-trial_settings = lp.OdrSettings(obj=test_object, trials=500, threshold=1)
+trial_settings = lp.OdrSettings(object_dims=[2.0, 2.0, 2.0], trials=500, threshold=1)
 
 points = lp.vsr_odr_scatter(models, grid, bounds, trial_settings, seed=7, samples=20)
 

@@ -328,17 +328,18 @@ def cmd_sweep(args) -> int:
     counts = [part for part in (args.counts or "").split(",") if part != ""]
     if not counts:
         raise CliError("SWEEP_EMPTY", "--counts must list at least one sensor count", EXIT_USAGE)
-    # int() would also read "1_0" as 10 and non-ASCII digits, so a typo could pick a count
-    if not all(c.strip().isascii() and c.strip().isdigit() for c in counts):
-        raise CliError("SWEEP_EMPTY", f"--counts entries must be digits 0-9: {args.counts!r}", EXIT_USAGE)
-    counts = [int(c) for c in counts]
+    try:
+        counts = [_integer(c) for c in counts]
+    except argparse.ArgumentTypeError as exc:
+        message = f"--counts entries must be digits 0-9: {args.counts!r}"
+        raise CliError("SWEEP_EMPTY", message, EXIT_USAGE) from exc
     if any(not 1 <= c <= MAX_SENSORS for c in counts):
         raise CliError("SWEEP_EMPTY", f"--counts entries must lie in [1, {MAX_SENSORS}]", EXIT_USAGE)
 
     if args.models is None:
         model_names = sorted(scenario.models)
     else:
-        model_names = [m for m in args.models.split(",") if m]
+        model_names = [m.strip() for m in args.models.split(",") if m.strip()]
         if not model_names:
             raise CliError("SWEEP_EMPTY", "--models must name at least one model", EXIT_USAGE)
     for name in model_names:
@@ -449,6 +450,18 @@ def cmd_export_voxels(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """Integer written in ASCII as digits 0-9, with an optional minus sign and spaces around.
+
+    ``int()`` alone would also read ``1_0`` as 10 and non-ASCII digits, so a
+    typo could pick a value.
+    """
+    digits = text.strip()
+    if not (text.isascii() and digits.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return int(digits)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as ``error[ARG_INVALID]``, like every other error."""
 
@@ -466,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scenario_required=True):
         if scenario_required:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario RNG seed (>= 0)")
+        p.add_argument("--seed", type=_integer, default=None, help="override the scenario RNG seed (>= 0)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         threads_help = "objective evaluation threads (read by optimize and sweep only)"
-        p.add_argument("--threads", type=int, default=1, help=threads_help)
+        p.add_argument("--threads", type=_integer, default=1, help=threads_help)
 
     p = sub.add_parser("optimize", help="search for the best sensor poses")
     common(p)
@@ -492,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", default=None, help="results.json from an optimize run (or --poses)")
     p.add_argument(
         "--scatter",
-        type=int,
+        type=_integer,
         default=0,
         metavar="N",
         help="also sample N random configurations and export a VSR/ODR scatter CSV",

@@ -33,7 +33,6 @@ from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseBounds, PoseConfig,
 from .segmentation import component_ids, first_level_labels
 
 __all__ = [
-    "ObjectSpec",
     "OdrSettings",
     "OdrReport",
     "estimate_odr",
@@ -41,22 +40,34 @@ __all__ = [
 ]
 
 
+# Most trials one estimate may draw, ~1 000x the paper's 1 000: corners, the
+# boxes' far corners and their index blocks take 105 bytes a trial, so an
+# estimate's per-trial arrays stay under 128 MiB.
+MAX_TRIALS = 2**20
+
+
 @dataclass(frozen=True, eq=False)
-class ObjectSpec:
-    """A cuboid test object and, optionally, where it may be placed.
+class OdrSettings:
+    """Detection-trial settings: the cuboid test object, trial count, and threshold.
 
     ``placement_region`` bounds the object's minimum corner; ``None`` means
     anywhere that keeps the object fully inside the ROI.  Dimensions are
     meters and axis-aligned in the ROI frame.
     """
 
-    dims: np.ndarray
+    object_dims: np.ndarray = (0.5, 0.5, 1.7)
     placement_region: Box | None = None
+    trials: int = 1000
+    threshold: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", as_vec3(self.dims))
-        if np.any(self.dims <= 0.0):
+        object.__setattr__(self, "object_dims", as_vec3(self.object_dims))
+        if np.any(self.object_dims <= 0.0):
             raise ValueError("object dimensions must be positive")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"odr trials must lie in [1, {MAX_TRIALS}]")
+        if self.threshold < 0:
+            raise ValueError("odr threshold must be >= 0")
 
     def corner_region(self, roi_extent) -> Box:
         """Resolved min-corner placement box, validated against the ROI.
@@ -64,10 +75,10 @@ class ObjectSpec:
         The object may overshoot the ROI by ``EXTENT_TOLERANCE`` of its
         extent, the slack an extent written in a scenario may have against
         the grid's ``dims * resolution``; both therefore accept the same
-        placements.  The default region is ``[0, extent - dims]``.
+        placements.  The default region is ``[0, extent - object_dims]``.
         """
         extent = np.asarray(roi_extent, dtype=float)
-        limit = extent - self.dims
+        limit = extent - self.object_dims
         slack = EXTENT_TOLERANCE * extent
         if np.any(limit < -slack):
             raise ValueError("object does not fit inside the ROI")
@@ -79,27 +90,6 @@ class ObjectSpec:
                 "placement region must keep the object fully inside the ROI"
             )
         return region
-
-
-# Most trials one estimate may draw, ~1 000x the paper's 1 000: corners, the
-# boxes' far corners and their index blocks take 105 bytes a trial, so an
-# estimate's per-trial arrays stay under 128 MiB.
-MAX_TRIALS = 2**20
-
-
-@dataclass(frozen=True, eq=False)
-class OdrSettings:
-    """Detection-trial settings: the test object, trial count, and threshold."""
-
-    obj: ObjectSpec
-    trials: int = 1000
-    threshold: int = 1
-
-    def __post_init__(self):
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ValueError(f"odr trials must lie in [1, {MAX_TRIALS}]")
-        if self.threshold < 0:
-            raise ValueError("odr threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,12 +159,11 @@ def estimate_odr(
     occupies more than ``settings.threshold`` subspaces.  Deterministic for
     a fixed ``rng`` state, and always returns a rate in [0, 1].
     """
-    obj = settings.obj
-    region = obj.corner_region(grid.extent)
+    region = settings.corner_region(grid.extent)
     comp, _ = component_ids(first_level_labels(configs, models, grid), grid)
 
     corners = rng.uniform(region.minimum, region.maximum, (settings.trials, 3))
-    counts = _occupied_counts(comp, grid, corners, corners + obj.dims)
+    counts = _occupied_counts(comp, grid, corners, corners + settings.object_dims)
     detections = int(np.count_nonzero(counts > settings.threshold))
     return OdrReport(
         trials=settings.trials,

@@ -33,7 +33,7 @@ from .geometry import (
     VoxelGrid,
     build_voxel_grid,
 )
-from .odr import ObjectSpec, OdrSettings
+from .odr import OdrSettings
 
 __all__ = [
     "ScenarioError",
@@ -75,10 +75,6 @@ class Scenario:
     abc: AbcParams
     odr: OdrSettings
     grid: VoxelGrid = field(repr=False)  # ``roi`` voxelized once, when parsed
-
-    @property
-    def num_lidars(self) -> int:
-        return sum(count for _, count in self.lidars)
 
     def model_sequence(self) -> tuple[LidarModel, ...]:
         """One model per placed sensor, expanded in scenario order."""
@@ -162,12 +158,14 @@ def _angle(value, context: str) -> float:
     if isinstance(value, str):
         text = value.strip().lower()
         for suffix, factor in (("deg", math.pi / 180.0), ("rad", 1.0)):
-            if text.endswith(suffix):
+            # float() would also read "1_5" as 15 and non-ASCII digits
+            if text.endswith(suffix) and value.isascii() and "_" not in value:
                 try:
                     return float(text[: -len(suffix)]) * factor
                 except ValueError:
                     break
-        raise ScenarioError("ANGLE_INVALID", f"{context} needs a deg/rad suffix, got {value!r}")
+        message = f"{context} needs an ASCII number with a deg/rad suffix, got {value!r}"
+        raise ScenarioError("ANGLE_INVALID", message)
     return _number(value, context, "ANGLE_INVALID")
 
 
@@ -191,17 +189,14 @@ def _boxes(value, context: str) -> tuple[Box, ...]:
 
 
 # Field tables: each JSON field an object takes, with its parser.  The parsed
-# object holds each field under the same name (odr's test object aside, see
-# ``_ODR_OBJECT``), and :func:`canonical_dict` and :func:`pose_dict` write the
-# fields back from these tables.  The pose fields run in
-# ``PoseConfig.as_vector()`` order.
+# object holds each field under the same name, and :func:`canonical_dict` and
+# :func:`pose_dict` write the fields back from these tables.  The pose fields
+# run in ``PoseConfig.as_vector()`` order.
 _POSE_FIELDS = {"position": _vec, "yaw": parse_angle, "pitch": parse_angle, "roll": parse_angle}
 _ROI_FIELDS = {"extent": _vec, "resolution": _vec, "excluded_boxes": _boxes}
 _ABC_FIELDS = {"num_bees": _integer, "max_iterations": _integer, "abandonment_threshold": _integer,
                "rng_seed": _integer, "mutate_all_dims": _bool}
 _ODR_FIELDS = {"object_dims": _vec, "placement_region": _box, "trials": _integer, "threshold": _integer}
-# The odr fields that ``OdrSettings.obj`` holds, with their ``ObjectSpec`` names.
-_ODR_OBJECT = {"object_dims": "dims", "placement_region": "placement_region"}
 
 
 def parse_pose(data, context: str = "pose") -> PoseConfig:
@@ -277,10 +272,7 @@ def _parse_abc(data, context: str) -> AbcParams:
 
 
 def _parse_odr(data, context: str) -> OdrSettings:
-    settings = _fields(data, context, _ODR_FIELDS)
-    spec = {attr: settings.pop(name) for name, attr in _ODR_OBJECT.items() if name in settings}
-    obj = _build(ObjectSpec, context, **{"dims": [0.5, 0.5, 1.7], **spec})
-    return _build(OdrSettings, context, obj=obj, **settings)
+    return _build(OdrSettings, context, **_fields(data, context, _ODR_FIELDS))
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -303,7 +295,7 @@ def parse_scenario(data: dict) -> Scenario:
     for i, (name, _) in enumerate(sections["lidars"]):
         if not isinstance(name, str) or name not in sections["models"]:
             raise ScenarioError("MODEL_UNKNOWN", f"lidars[{i}] references unknown model {name!r}")
-    _build(sections["odr"].obj.corner_region, "odr", sections["roi"].extent)
+    _build(sections["odr"].corner_region, "odr", sections["roi"].extent)
     return Scenario(**sections, grid=grid)
 
 
@@ -337,9 +329,9 @@ def _json(value):
     return value
 
 
-def _record(obj, names, attrs: dict | None = None) -> dict:
-    """``obj``'s fields ``names`` in JSON form, read as ``attrs[name]`` if given; ``None`` left out."""
-    values = {name: getattr(obj, (attrs or {}).get(name, name)) for name in names}
+def _record(obj, names) -> dict:
+    """``obj``'s fields ``names`` in JSON form; ``None`` left out."""
+    values = {name: getattr(obj, name) for name in names}
     return {name: _json(value) for name, value in values.items() if value is not None}
 
 
@@ -354,7 +346,7 @@ def canonical_dict(scenario: Scenario) -> dict:
     roi, abc and odr are written from their field tables.  Parsing the canonical
     form reproduces the scenario exactly: parse -> serialize -> parse is the identity.
     """
-    odr, bounds, models = scenario.odr, scenario.bounds, sorted(scenario.models.items())
+    bounds, models = scenario.bounds, sorted(scenario.models.items())
     return {
         "schema_version": SCHEMA_VERSION,
         "roi": _record(scenario.roi, _ROI_FIELDS),
@@ -362,8 +354,7 @@ def canonical_dict(scenario: Scenario) -> dict:
         "lidars": [{"model": name, "count": count} for name, count in scenario.lidars],
         "bounds": {"lower": _json(bounds.lower.as_vector()), "upper": _json(bounds.upper.as_vector())},
         "abc": _record(scenario.abc, _ABC_FIELDS),
-        "odr": {**_record(odr.obj, _ODR_OBJECT, _ODR_OBJECT),
-                **_record(odr, [name for name in _ODR_FIELDS if name not in _ODR_OBJECT])},
+        "odr": _record(scenario.odr, _ODR_FIELDS),
     }
 
 

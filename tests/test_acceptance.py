@@ -190,7 +190,7 @@ def test_criterion_5_scaled_convergence_shape():
     scenario = lp.load_scenario(SCENARIO_DIR / "av_rooftop_small.json")
     assert scenario.roi.resolution.tolist() == [2.0, 1.0, 0.4]
     assert scenario.abc.num_bees == 50 and scenario.abc.max_iterations == 100
-    assert scenario.num_lidars == 2
+    assert len(scenario.model_sequence()) == 2
     grid = lp.build_voxel_grid(scenario.roi)
     models = scenario.model_sequence()
 
@@ -257,8 +257,7 @@ def test_criterion_7_vsr_anticorrelates_with_detection_rate():
         lower=lp.PoseConfig(position=[2, 2, 2.5]),
         upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
     )
-    test_object = lp.ObjectSpec(dims=[2.0, 2.0, 2.0])
-    trial_settings = lp.OdrSettings(obj=test_object, trials=500, threshold=1)
+    trial_settings = lp.OdrSettings(object_dims=[2.0, 2.0, 2.0], trials=500, threshold=1)
 
     started = time.perf_counter()
     points = lp.vsr_odr_scatter(models, grid, bounds, trial_settings, seed=7, samples=20)

@@ -258,6 +258,19 @@ class TestSweep:
         assert lines == ["model,count,best_max_vsr", "b2,2,0.5", "b2,1,1.0", "b2,3,0.3333333333333333"]
 
 
+    def test_models_may_carry_surrounding_spaces(self, tiny_scenario, tmp_path, monkeypatch):
+        def search(models, *args, **kwargs):
+            return None, mock.Mock(best_cost=1.0 / len(models))
+
+        monkeypatch.setattr(lp.cost, "search_placement", search)
+        out = tmp_path / "sw"
+        argv = ["sweep", "--scenario", str(tiny_scenario), "--counts", "1", "--models", "b2, b2 ,",
+                "--out", str(out)]
+        assert main(argv) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines == ["model,count,best_max_vsr", "b2,1,1.0", "b2,1,1.0"]
+
+
 class TestOdr:
     def test_record_driven_odr(self, tiny_scenario, tmp_path):
         run = tmp_path / "run"
@@ -560,8 +573,14 @@ class TestInputsCheckedBeforeOut:
 
     @pytest.mark.parametrize(
         "argv",
-        [["optimize", "--threads", "abc"], ["evaluate"], ["optimize", "--bogus", "1"]],
-        ids=["bad-int", "missing-poses", "unknown-flag"],
+        [["optimize", "--threads", "abc"], ["evaluate"], ["optimize", "--bogus", "1"],
+         ["optimize", "--threads", "1_0"], ["optimize", "--threads", "\u0662"],
+         ["optimize", "--threads", "+2"], ["optimize", "--seed", "1_0"],
+         ["optimize", "--seed", "\uff17"], ["odr", "--scatter", "1_2"],
+         ["odr", "--scatter", "\u00a02"]],
+        ids=["bad-int", "missing-poses", "unknown-flag", "threads-underscore",
+             "threads-arabic-indic", "threads-plus-sign", "seed-underscore", "seed-fullwidth",
+             "scatter-underscore", "scatter-nbsp"],
     )
     def test_malformed_command_line_is_arg_invalid(self, inputs, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -570,6 +589,12 @@ class TestInputsCheckedBeforeOut:
         assert captured.err.startswith("error[ARG_INVALID]: ")
         assert "Traceback" not in captured.err and "usage:" not in captured.err + captured.out
         assert not out.exists()
+
+    def test_integer_flags_allow_a_minus_sign_and_spaces(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["odr", "--scenario", "s", "--threads", " 2 ", "--seed", "007",
+                                  "--scatter", "-3"])
+        assert (args.threads, args.seed, args.scatter) == (2, 7, -3)
 
     @pytest.mark.parametrize("argv", [["--help"], ["optimize", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
@@ -1030,7 +1055,7 @@ class TestBundledScenarios:
         bounds_lo = scenario.bounds.lower
         poses = [
             lp.PoseConfig(position=bounds_lo.position, pitch=0.1)
-            for _ in range(scenario.num_lidars)
+            for _ in scenario.model_sequence()
         ]
         objective = lp.max_vsr(poses, scenario.model_sequence(), grid)
         assert math.isfinite(objective) and objective > 0

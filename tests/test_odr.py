@@ -21,19 +21,19 @@ def labeled_grid():
     return GRID, comp, count
 
 
-class TestObjectSpec:
+class TestOdrSettings:
     def test_requires_positive_dims(self):
         with pytest.raises(ValueError):
-            lp.ObjectSpec(dims=[0.0, 1.0, 1.0])
+            lp.OdrSettings(object_dims=[0.0, 1.0, 1.0])
 
     def test_default_region_keeps_object_inside(self):
-        region = lp.ObjectSpec(dims=[2, 2, 2]).corner_region([8, 8, 4])
+        region = lp.OdrSettings(object_dims=[2, 2, 2]).corner_region([8, 8, 4])
         assert region.minimum.tolist() == [0, 0, 0]
         assert region.maximum.tolist() == [6, 6, 2]
 
     def test_oversized_object_rejected(self):
         with pytest.raises(ValueError):
-            lp.ObjectSpec(dims=[9, 1, 1]).corner_region([8, 8, 4])
+            lp.OdrSettings(object_dims=[9, 1, 1]).corner_region([8, 8, 4])
 
     def test_region_may_end_at_the_grid_extent(self):
         # 3 * 0.3 is 0.8999999999999999, below the written extent 0.9: a
@@ -41,21 +41,21 @@ class TestObjectSpec:
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[0.9, 0.9, 0.9], resolution=[0.3, 0.3, 0.3]))
         assert grid.extent[0] < 0.9
         region = lp.Box(minimum=[0, 0, 0], maximum=[0.6, 0.6, 0.6])
-        spec = lp.ObjectSpec(dims=[0.3, 0.3, 0.3], placement_region=region)
+        spec = lp.OdrSettings(object_dims=[0.3, 0.3, 0.3], placement_region=region)
         for extent in ([0.9, 0.9, 0.9], grid.extent):
             assert spec.corner_region(extent) is spec.placement_region
         # an object as large as the ROI fits, and its default region is one point
-        whole = lp.ObjectSpec(dims=[0.9, 0.9, 0.9])
+        whole = lp.OdrSettings(object_dims=[0.9, 0.9, 0.9])
         assert whole.corner_region(grid.extent).maximum.tolist() == [0.0, 0.0, 0.0]
         # the slack is EXTENT_TOLERANCE of the extent, not more
         region = lp.Box(minimum=[0, 0, 0], maximum=[0.6 + 1e-6] * 3)
-        over = lp.ObjectSpec(dims=[0.3, 0.3, 0.3], placement_region=region)
+        over = lp.OdrSettings(object_dims=[0.3, 0.3, 0.3], placement_region=region)
         with pytest.raises(ValueError):
             over.corner_region(grid.extent)
 
     def test_custom_region_validated(self):
-        spec = lp.ObjectSpec(
-            dims=[2, 2, 2], placement_region=lp.Box(minimum=[0, 0, 0], maximum=[7, 6, 2])
+        spec = lp.OdrSettings(
+            object_dims=[2, 2, 2], placement_region=lp.Box(minimum=[0, 0, 0], maximum=[7, 6, 2])
         )
         with pytest.raises(ValueError):
             spec.corner_region([8, 8, 4])
@@ -171,14 +171,15 @@ class TestBatchedOccupancy:
                 assert odr._occupied_counts(comp, grid, lo, hi).tolist() == expected
 
 
-def estimate_odr_ref(configs, models, grid, obj, trials, threshold, rng):
+def estimate_odr_ref(configs, models, grid, settings, rng):
     """Detections of the same trials as :func:`lp.estimate_odr`, scanning every center per trial."""
     comp, _ = lp.component_ids(lp.first_level_labels(configs, models, grid), grid)
-    region = obj.corner_region(grid.extent)
-    corners = rng.uniform(region.minimum, region.maximum, (trials, 3))
+    region = settings.corner_region(grid.extent)
+    corners = rng.uniform(region.minimum, region.maximum, (settings.trials, 3))
     centers = voxel_centers(grid)
     return sum(
-        occupied_subspaces_ref(centers, comp, lo, lo + obj.dims) > threshold for lo in corners
+        occupied_subspaces_ref(centers, comp, lo, lo + settings.object_dims) > settings.threshold
+        for lo in corners
     )
 
 
@@ -199,25 +200,23 @@ class TestEstimateOdr:
         # some axes, so that box faces land exactly on centers
         center = lambda index: (np.asarray(index) + 0.5) * roi.resolution  # noqa: E731
         objects = [
-            lp.ObjectSpec(dims=[0.5, 0.5, 1.7]),
-            lp.ObjectSpec(dims=[2.0, 1.0, 0.9]),
-            lp.ObjectSpec(
-                dims=[2.0, 1.5, 0.6],
+            dict(object_dims=[0.5, 0.5, 1.7]),
+            dict(object_dims=[2.0, 1.0, 0.9]),
+            dict(
+                object_dims=[2.0, 1.5, 0.6],
                 placement_region=lp.Box(minimum=center([0, 0, 0]), maximum=center([5, 0, 0])),
             ),
-            lp.ObjectSpec(
-                dims=[1.0, 1.0, 1.2],
+            dict(
+                object_dims=[1.0, 1.0, 1.2],
                 placement_region=lp.Box(minimum=center([1, 0, 1]), maximum=center([1, 8, 1])),
             ),
         ]
         grid = lp.build_voxel_grid(roi)
         for obj in objects:
             for threshold in (0, 1, 2, 4):
-                settings = lp.OdrSettings(obj, 100, threshold)
+                settings = lp.OdrSettings(**obj, trials=100, threshold=threshold)
                 report = lp.estimate_odr(poses, models, grid, settings, np.random.default_rng(seed))
-                expected = estimate_odr_ref(
-                    poses, models, grid, obj, 100, threshold, np.random.default_rng(seed)
-                )
+                expected = estimate_odr_ref(poses, models, grid, settings, np.random.default_rng(seed))
                 assert report.detections == expected
                 assert report.odr == expected / 100
 
@@ -225,35 +224,30 @@ class TestEstimateOdr:
         # Thinner than the 1 m spacing and held between the z = 0.5 and z = 1.5
         # center layers, every trial's box holds no center at all.
         region = lp.Box(minimum=[0.0, 0.0, 0.6], maximum=[7.8, 7.8, 0.7])
-        obj = lp.ObjectSpec(dims=[0.2, 0.2, 0.2], placement_region=region)
-        report = lp.estimate_odr(
-            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 200, 0), np.random.default_rng(57)
-        )
-        expected = estimate_odr_ref([POSE], [MODEL], GRID, obj, 200, 0, np.random.default_rng(57))
+        settings = lp.OdrSettings(object_dims=[0.2, 0.2, 0.2], placement_region=region, trials=200,
+                                  threshold=0)
+        report = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(57))
+        expected = estimate_odr_ref([POSE], [MODEL], GRID, settings, np.random.default_rng(57))
         assert report.detections == expected == 0
         assert report.odr == 0.0
 
     def test_threshold_zero_with_full_coverage(self):
-        obj = lp.ObjectSpec(dims=[2, 2, 2])
-        report = lp.estimate_odr(
-            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 200, 0), np.random.default_rng(52)
-        )
+        settings = lp.OdrSettings(object_dims=[2, 2, 2], trials=200, threshold=0)
+        report = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(52))
         assert report.odr == 1.0
         assert report.detections == report.trials == 200
 
     def test_threshold_at_component_count_gives_zero(self):
         _, _, count = labeled_grid()
-        obj = lp.ObjectSpec(dims=[2, 2, 2])
-        report = lp.estimate_odr(
-            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 200, count), np.random.default_rng(53)
-        )
+        settings = lp.OdrSettings(object_dims=[2, 2, 2], trials=200, threshold=count)
+        report = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(53))
         assert report.odr == 0.0
 
     def test_monotone_in_threshold(self):
-        obj = lp.ObjectSpec(dims=[2, 2, 2])
         rates = [
             lp.estimate_odr(
-                [POSE], [MODEL], GRID, lp.OdrSettings(obj, 300, thr), np.random.default_rng(54)
+                [POSE], [MODEL], GRID, lp.OdrSettings(object_dims=[2, 2, 2], trials=300, threshold=thr),
+                np.random.default_rng(54),
             ).odr
             for thr in range(0, 4)
         ]
@@ -261,26 +255,22 @@ class TestEstimateOdr:
         assert all(0.0 <= r <= 1.0 for r in rates)
 
     def test_deterministic_for_fixed_seed(self):
-        obj = lp.ObjectSpec(dims=[1.5, 1.5, 1.5])
-        settings = lp.OdrSettings(obj, 250, 1)
+        settings = lp.OdrSettings(object_dims=[1.5, 1.5, 1.5], trials=250, threshold=1)
         a = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(55))
         b = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(55))
         assert a == b
 
     def test_report_invariants(self):
-        obj = lp.ObjectSpec(dims=[2, 2, 2])
-        report = lp.estimate_odr(
-            [POSE], [MODEL], GRID, lp.OdrSettings(obj, 123, 1), np.random.default_rng(56)
-        )
+        settings = lp.OdrSettings(object_dims=[2, 2, 2], trials=123, threshold=1)
+        report = lp.estimate_odr([POSE], [MODEL], GRID, settings, np.random.default_rng(56))
         assert report.detections <= report.trials
         assert report.odr == report.detections / report.trials
 
     def test_bad_arguments_rejected(self):
-        obj = lp.ObjectSpec(dims=[1, 1, 1])
         with pytest.raises(ValueError):
-            lp.OdrSettings(obj, 0, 1)
+            lp.OdrSettings(object_dims=[1, 1, 1], trials=0, threshold=1)
         with pytest.raises(ValueError):
-            lp.OdrSettings(obj, 10, -1)
+            lp.OdrSettings(object_dims=[1, 1, 1], trials=10, threshold=-1)
 
     def test_roi_without_active_voxels_rejected(self):
         roi = lp.RoiSpec(
@@ -289,7 +279,7 @@ class TestEstimateOdr:
             excluded_boxes=[lp.Box(minimum=[0, 0, 0], maximum=[4, 4, 2])],
         )
         grid = lp.build_voxel_grid(roi)
-        settings = lp.OdrSettings(lp.ObjectSpec(dims=[1, 1, 1]), 10, 1)
+        settings = lp.OdrSettings(object_dims=[1, 1, 1], trials=10, threshold=1)
         with pytest.raises(ValueError, match="no active voxels"):
             lp.estimate_odr([POSE], [MODEL], grid, settings, np.random.default_rng(0))
 
@@ -303,7 +293,7 @@ class TestVsrOdrScatter:
             lower=lp.PoseConfig(position=[2, 2, 2.5]),
             upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
         )
-        settings = lp.OdrSettings(lp.ObjectSpec(dims=[2.0, 2.0, 2.0]), 60, 1)
+        settings = lp.OdrSettings(object_dims=[2.0, 2.0, 2.0], trials=60, threshold=1)
         points = lp.vsr_odr_scatter(models, GRID, bounds, settings, seed, samples)
         expected = vsr_odr_scatter_ref(models, GRID, bounds, settings, seed, samples)
         # bit for bit: the same floats, not just equal within rounding

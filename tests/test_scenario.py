@@ -51,6 +51,22 @@ class TestAngles:
         assert parse_angle("15deg") == pytest.approx(math.radians(15), rel=1e-12)
         assert parse_angle("0.2rad") == pytest.approx(0.2, rel=1e-12)
 
+    @pytest.mark.parametrize("text", ["15deg", " 15 deg", "+15DEG", "1.5e1deg", "\t15deg\n"])
+    def test_ascii_forms_are_read(self, text):
+        assert parse_angle(text) == pytest.approx(math.radians(15), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_5deg", "1_5rad", "0.2_5rad", "\u0661\u0665deg", "1\u0665deg", "\uff11\uff15deg",
+         "\u00a015deg", "15deg\u2003"],
+        ids=["underscore", "underscore-rad", "underscore-fraction", "arabic-indic", "mixed-digits",
+             "fullwidth", "nbsp-before", "em-space-after"],
+    )
+    def test_underscores_and_non_ascii_rejected(self, text):
+        with pytest.raises(lp.ScenarioError, match="ASCII number") as err:
+            parse_angle(text)
+        assert err.value.code == "ANGLE_INVALID"
+
     def test_bad_angles(self):
         for bad in ("15", "xdeg", {"deg": 1, "rad": 2}, {"grad": 3}, True, [1], {"deg": "15"},
                     {"rad": True}, {"deg": [1]}, 10**400, "infdeg", "nanrad", "1e400deg",
@@ -72,7 +88,7 @@ class TestParsing:
         assert scenario.roi.extent.tolist() == [60.0, 20.0, 4.0]
         assert scenario.roi.resolution.tolist() == [1.0, 0.5, 0.2]
         assert scenario.roi.grid_dims == (60, 40, 20)
-        assert scenario.num_lidars == 4
+        assert len(scenario.model_sequence()) == 4
         beam16 = scenario.models["beam16"]
         assert beam16.num_beams == 16
         assert beam16.beam_pitches[0] == pytest.approx(math.radians(-15), rel=1e-12)
@@ -81,12 +97,12 @@ class TestParsing:
         assert scenario.bounds.upper.pitch == 3.1415
         assert scenario.abc.num_bees == 200
         assert scenario.abc.max_iterations == 800
-        assert scenario.odr.obj.dims.tolist() == [0.5, 0.5, 1.7]
+        assert scenario.odr.object_dims.tolist() == [0.5, 0.5, 1.7]
 
     def test_bundled_scaled_fixture(self):
         scenario = lp.load_scenario(SCENARIO_DIR / "av_rooftop_small.json")
         assert scenario.roi.grid_dims == (30, 20, 10)
-        assert scenario.num_lidars == 2
+        assert len(scenario.model_sequence()) == 2
         assert scenario.abc.num_bees == 50
         assert scenario.abc.max_iterations == 100
 
@@ -115,7 +131,7 @@ class TestParsing:
 
     def test_odr_defaults(self):
         scenario = parse_scenario(minimal_scenario())
-        assert scenario.odr.obj.dims.tolist() == [0.5, 0.5, 1.7]
+        assert scenario.odr.object_dims.tolist() == [0.5, 0.5, 1.7]
         assert scenario.odr.trials == 1000
         assert scenario.odr.threshold == 1
 
@@ -126,7 +142,7 @@ class TestParsing:
                              (scenario.roi, lp.RoiSpec), (pose, lp.PoseConfig)):
             for f in dataclasses.fields(spec):
                 if f.default is not dataclasses.MISSING:
-                    assert getattr(parsed, f.name) == f.default, f.name
+                    assert np.array_equal(getattr(parsed, f.name), f.default), f.name
 
     def test_single_beam_evenly_spaced_model_sits_at_the_midpoint(self):
         spaced = {"b2": {"evenly_spaced": {"count": 1, "start": -0.2, "stop": 0.4}}}
@@ -291,7 +307,7 @@ class TestNamedErrors:
         ):
             self.expect(minimal_scenario(lidars=lidars), "SCHEMA_INVALID")
         limit = [{"model": "b2", "count": MAX_SENSORS - 1}, {"model": "b2", "count": 1}]
-        assert parse_scenario(minimal_scenario(lidars=limit)).num_lidars == MAX_SENSORS
+        assert len(parse_scenario(minimal_scenario(lidars=limit)).model_sequence()) == MAX_SENSORS
 
     @pytest.mark.parametrize(
         "section, key, limit",
@@ -516,6 +532,34 @@ class TestWriters:
         assert set(canonical[section]) == set(getattr(scenario_module, table))
         again = json.loads(json.dumps(canonical))
         assert lp.canonical_dict(parse_scenario(again)) == canonical
+
+    @pytest.mark.parametrize(
+        "table, spec",
+        [("_POSE_FIELDS", lp.PoseConfig), ("_ROI_FIELDS", lp.RoiSpec), ("_ABC_FIELDS", lp.AbcParams),
+         ("_ODR_FIELDS", lp.OdrSettings)],
+        ids=["pose", "roi", "abc", "odr"],
+    )
+    def test_field_table_names_the_dataclass_fields(self, table, spec):
+        # the writers read each field by its JSON name, so the names must match
+        fields = [f.name for f in dataclasses.fields(spec)]
+        assert list(getattr(scenario_module, table)) == fields
+
+    @pytest.mark.parametrize(
+        "odr, expected",
+        [
+            ({}, {"object_dims": [0.5, 0.5, 1.7], "trials": 1000, "threshold": 1}),
+            ({"object_dims": [1, 1, 2], "placement_region": {"min": [0, 0, 0], "max": [2, 2, 1]},
+              "trials": 20, "threshold": 2},
+             {"object_dims": [1.0, 1.0, 2.0],
+              "placement_region": {"min": [0.0, 0.0, 0.0], "max": [2.0, 2.0, 1.0]},
+              "trials": 20, "threshold": 2}),
+        ],
+        ids=["defaults", "every-field"],
+    )
+    def test_canonical_odr_section(self, odr, expected):
+        written = lp.canonical_dict(parse_scenario(minimal_scenario(odr=odr)))["odr"]
+        assert written == expected
+        assert list(written) == list(expected)
 
     def test_canonical_values(self):
         canonical = lp.canonical_dict(parse_scenario(self.FULL))
