@@ -7,8 +7,9 @@ along an axis are exposed unless paired that way.  A face is "surface"
 whenever the face-adjacent voxel is not in the same component; ROI boundary,
 excluded region, and other-subspace neighbors all count identically.  The
 counts come from the y-runs of the segmentation's run helper: a component's
-voxels and x/z face pairs are the sums over its runs, and each run of ``n``
-voxels holds ``n - 1`` y face pairs.
+voxels are the sum over its runs, each run of ``n`` voxels holds ``n - 1``
+y face pairs, and its x/z face pairs are the sums of the segment lengths of
+the edges leaving its runs, since a face pair never joins two components.
 
 The placement objective is the maximum volume-to-surface-area ratio (VSR)
 over all subspaces; ``3 * VSR`` estimates the radius of the largest sphere
@@ -81,9 +82,14 @@ def component_metrics(comp: np.ndarray, count: int, grid: VoxelGrid):
 
 def _metrics(group: np.ndarray, count: int, r, grid: VoxelGrid):
     """:func:`component_metrics` of components made of the runs ``r``, run ``n`` in ``group[n]``."""
+    # Each face pair lies in one segment, and both its voxels in one component.
+    edge_group = group[r.src]
+    x, z = slice(None, r.num_x), slice(r.num_x, None)
     sizes, pairs_x, pairs_z = (
-        np.bincount(group, weights, minlength=count).astype(np.int64)
-        for weights in (r.length, r.pairs_x, r.pairs_z)
+        np.bincount(g, weights, minlength=count).astype(np.int64)
+        for g, weights in (
+            (group, r.length), (edge_group[x], r.segment[x]), (edge_group[z], r.segment[z])
+        )
     )
     pairs_y = sizes - np.bincount(group, minlength=count)
 

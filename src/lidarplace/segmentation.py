@@ -15,17 +15,18 @@ per voxel and coordinate.  Each digit is read from a per-model table over
 fixed-width bins of ``z / r``; only rows in a bin near a cone, or with a
 tiny or non-finite ``r``, are stepped against the exact rule
 ``tan(pitch_k) * r <= z``.  The byte digits are then gathered to active
-order.
+order, and ``first_level_labels`` returns them as a ``uint8`` matrix.
 
 Second level: voxels sharing a code are split into maximal face-connected
 (6-connected) components.  Each component is one non-detectable subspace: a
 static object strictly inside it intersects no beam cone.  Values are laid
 on the grid's padded layout (``VoxelGrid.pad``), and one run helper
-contracts each maximal same-value run along y into one node, counts its
-length and its same-value face pairs along x and z, and joins runs by those
-face pairs; the run graph's components are labelled by hook and jump.
-Component ids follow each component's first voxel in C order; the objective
-(``cost.max_vsr``) needs no ids.
+contracts each maximal same-value run along y into one node with its
+length, and joins runs by their same-value face pairs along x and z: each
+stretch of consecutive pairing cells in one run is one edge, holding its
+length.  The run graph's components are labelled by hook and jump, each
+hook picking any smaller root.  Component ids follow each component's first
+voxel in C order; the objective (``cost.max_vsr``) needs no ids.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def first_level_labels(
     models: Sequence[LidarModel],
     grid: VoxelGrid,
 ) -> np.ndarray:
-    """Per-active-voxel digit matrix, one column per LiDAR, stored column-major.
+    """Per-active-voxel ``uint8`` digit matrix, one column per LiDAR, stored column-major.
 
     Row ``i`` holds the subspace code of ``grid.active_indices[i]``; digit
     ``j`` comes from transforming the voxel center into LiDAR ``j``'s frame
@@ -271,7 +272,7 @@ def first_level_labels(
     if grid.num_active == 0:
         raise ValueError("ROI has no active voxels; nothing to segment")
     column = _grid_columns(grid)
-    labels = np.empty((grid.num_active, len(configs)), dtype=np.int64, order="F")
+    labels = np.empty((grid.num_active, len(configs)), dtype=np.uint8, order="F")
     for j, (pose, model) in enumerate(zip(configs, models)):
         labels[:, j] = column(pose.as_vector().tobytes(), model)
     return labels
@@ -290,7 +291,8 @@ def _pack_rows(labels: np.ndarray) -> np.ndarray:
         return inverse.astype(np.int64)
     packed = labels[:, 0].astype(np.int64)
     for j in range(1, labels.shape[1]):
-        packed = packed * radix + labels[:, j]
+        packed *= radix
+        packed += labels[:, j]
     return packed
 
 
@@ -299,45 +301,50 @@ class _Runs(NamedTuple):
 
     start: np.ndarray
     length: np.ndarray
-    pairs_x: np.ndarray
-    pairs_z: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    segment: np.ndarray
+    num_x: int
 
 
 def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
-    """Maximal same-value y-runs of a padded array, their face pairs and the edges between them.
+    """Maximal same-value y-runs of a padded array and the edges between them.
 
     ``values`` is laid out as :meth:`VoxelGrid.pad` returns it, ``-1`` off
     the active set.  A run is a maximal stretch of one value ``>= 0`` along y;
     the padding cell ending each row ends its last run.  Returns per run its
     first cell (``start``; an active cell's run is the last one starting at
-    or before it), its cell count (``length``) and its x and z face pairs
-    (``pairs_x``/``pairs_z``: cells whose ``+x`` or ``+z`` neighbour holds
-    the same value).  A run of ``n`` cells has ``n - 1`` y face pairs.
-    ``src``/``dst`` are the edges joining two runs by a face pair, with a
-    pair left out when its y predecessor pairs too within the same run, as
-    it joins the same two runs.
+    or before it) and its cell count (``length``).  A run of ``n`` cells has
+    ``n - 1`` y face pairs.  A face pair is a cell whose ``+x`` or ``+z``
+    neighbour holds the same value; consecutive pairing cells of one run form
+    a segment, whose pairs all join the same two runs.  ``src``/``dst`` hold
+    one edge per segment, joining the run of its cells to the run of their
+    neighbours, and ``segment`` its cell count, the face pairs the edge
+    stands for: the first ``num_x`` edges pair along x, the rest along z.
     """
     sx, _, sz = strides
-    same = values[1:] == values[:-1]
+    differs = values[1:] != values[:-1]
     valid = values >= 0
     starts = valid.copy()
-    starts[1:] &= ~same
+    starts[1:] &= differs
     start = np.flatnonzero(starts)
     # The array ends in padding, so every run ends before it.
-    end = np.flatnonzero(valid[:-1] & ~same) + 1
-    counts, edges = [], []
+    end = np.flatnonzero(valid[:-1] & differs) + 1
+    segments, edges = [], []
     for stride in (sx, sz):
         pairs = valid[:-stride] & (values[:-stride] == values[stride:])
-        # Between one run's start and the next only that run's cells and
-        # cells off the active set lie, and the latter never pair.
-        counts.append(np.add.reduceat(pairs, start, dtype=np.int64))
-        pairs[1:] &= ~(pairs[:-1] & same[: pairs.size - 1])
-        cells = np.flatnonzero(pairs)
+        # ``linked[c]``: cells c and c + 1 both pair and hold one value, so
+        # they share a segment.  Clearing each link's second cell leaves the
+        # segments' first cells, clearing its first cell their last cells.
+        linked = (pairs[:-1] & pairs[1:]) > differs[: pairs.size - 1]
+        first = pairs.copy()
+        first[1:] ^= linked
+        pairs[:-1] ^= linked
+        cells = np.flatnonzero(first)
+        segments.append(np.flatnonzero(pairs) - cells + 1)
         edges.append(np.searchsorted(start, (cells, cells + stride), side="right") - 1)
     src, dst = np.concatenate(edges, axis=1)
-    return _Runs(start, end - start, *counts, src, dst)
+    return _Runs(start, end - start, src, dst, np.concatenate(segments), edges[0].shape[1])
 
 
 def _code_runs(labels: np.ndarray, grid: VoxelGrid) -> _Runs:
@@ -352,17 +359,28 @@ def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.n
     each component's smallest node.  Each round hooks the larger root of
     every edge joining two roots onto the smaller one, then points every
     node at its root; edges inside one root stay inside it and are dropped.
+    The first round hooks the edges' own ends, each node being its own root.
+    A root hooked by several edges takes any one of their smaller roots:
+    pointers only lead to smaller nodes, so each tree's root is its smallest
+    node, and the partition and its numbering come out the same.
     """
     parent = np.arange(n)
+    a, b = src, dst
     while True:
+        parent[np.maximum(a, b)] = np.minimum(a, b)
+        # Two jumps per check: pointers only lead to smaller nodes, so when
+        # two jumps move none, every node points at its root.
+        while True:
+            jumped = parent[parent]
+            jumped = jumped[jumped]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
         a, b = parent[src], parent[dst]
         cross = a != b
         if not cross.any():
             break
         src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(parent, jumped := parent[parent]):
-            parent = jumped
     number = np.cumsum(parent == np.arange(n)) - 1
     return int(number[-1]) + 1, number[parent]
 

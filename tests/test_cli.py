@@ -75,6 +75,22 @@ class TestOptimize:
         main(["optimize", "--scenario", str(tiny_scenario), "--out", str(out2), "--threads", "3"])
         assert read_all_bytes(out1) == read_all_bytes(out2)
 
+    def test_full_scale_threads_write_identical_bytes(self, tmp_path):
+        # av_rooftop at full resolution (4 x beam16, 47 040 voxels) with a
+        # short colony: two threads evaluate at once and must write what one does
+        scenario = json.loads((SCENARIO_DIR / "av_rooftop.json").read_text(encoding="utf-8"))
+        scenario["abc"].update(num_bees=8, max_iterations=2)
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            argv = ["optimize", "--scenario", str(path), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            outputs.append(read_all_bytes(out))
+        assert list(outputs[0]) == ["convergence.csv", "results.json", "voxels.csv", "voxels.ply"]
+        assert outputs[0] == outputs[1]
+
     def test_seed_override_changes_digest(self, tiny_scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["optimize", "--scenario", str(tiny_scenario), "--out", str(out1)])

@@ -343,9 +343,25 @@ class TestRunMetrics:
         sx, sy, sz = strides
         assert r.start.tolist() == [i * sx + j * sy + k * sz for i, j, k in (c[0] for c in expected)]
         assert r.length.tolist() == [len(cells) for cells in expected]
-        for pairs, step in ((r.pairs_x, (1, 0, 0)), (r.pairs_z, (0, 0, 1))):
-            assert pairs.tolist() == [
-                sum(at.get((i + step[0], j, k + step[2])) == at[i, j, k] for i, j, k in cells)
+        for edge, (dx, dz) in ((slice(None, r.num_x), (1, 0)), (slice(r.num_x, None), (0, 1))):
+            # one segment per stretch of consecutive pairing cells in a run
+            walked = []
+            for n, cells in enumerate(expected):
+                length = 0
+                for cell in [*cells, None]:
+                    nbr = None if cell is None else (cell[0] + dx, cell[1], cell[2] + dz)
+                    if cell is not None and at.get(nbr) == at[cell]:
+                        if not length:
+                            other = run_of[nbr]
+                        length += 1
+                    elif length:
+                        walked.append((n, other, length))
+                        length = 0
+            src, dst, segment = r.src[edge], r.dst[edge], r.segment[edge]
+            assert sorted(zip(src.tolist(), dst.tolist(), segment.tolist())) == sorted(walked)
+            # summed per run, the segment lengths are the run's face pairs
+            assert np.bincount(src, segment, minlength=len(expected)).tolist() == [
+                sum(at.get((i + dx, j, k + dz)) == at[i, j, k] for i, j, k in cells)
                 for cells in expected
             ]
         # each voxel's run is the last one starting at or before its cell

@@ -214,7 +214,8 @@ class TestColumnCache:
         models = [TWO_BEAM, TWO_BEAM]
         cold = lp.first_level_labels(poses, models, grid)
         warm = lp.first_level_labels(poses, models, grid)
-        assert cold.dtype == warm.dtype == np.int64
+        assert cold.dtype == warm.dtype == np.uint8
+        assert cold.max() <= TWO_BEAM.num_beams
         assert np.array_equal(cold, warm)
         assert np.array_equal(cold, _uncached_labels(poses, models, grid))
         # equal pose values hit the cache even through a new PoseConfig
@@ -546,6 +547,18 @@ class TestConnectedComponents:
         comp, count = lp.component_ids(np.array([[2**62], [2**62], [5], [2**62]]), grid)
         assert count == 3
         assert comp.tolist() == [0, 0, 1, 2]
+
+    def test_byte_digits_too_wide_to_pack_partition_correctly(self):
+        # eight byte columns holding 255 need 64 bits at radix 256: the
+        # row-identity fallback numbers the distinct rows from 0
+        grid = grid_of([3, 4, 2], [1, 1, 1])
+        rng = np.random.default_rng(255)
+        codes = rng.integers(0, 256, (3, 8)).astype(np.uint8)
+        codes[:, 0] = 255
+        labels = codes[rng.integers(0, 3, grid.num_active)]
+        distinct = {tuple(row) for row in labels.tolist()}
+        assert set(segmentation._pack_rows(labels).tolist()) == set(range(len(distinct)))
+        assert_matches_flood_fill(grid, labels)
 
     @pytest.mark.parametrize(
         "labels",
