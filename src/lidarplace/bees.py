@@ -15,15 +15,14 @@ streak, scout count); ``optimize`` returns them read-only.
 
 Fitness is ``1 / (1 + cost)``, so lower cost means proportionally more
 onlooker attention.  Candidate moves are clamped into the box, the global
-best is retained across scout restarts, and every random draw happens on the
-main thread before objective evaluation, so results are bit-identical for a
-fixed seed no matter how many worker threads evaluate the objective.
+best is retained across scout restarts.  Every objective call runs on the
+calling thread, in source order, so results are bit-identical for a fixed
+seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -161,18 +160,14 @@ def optimize(
     objective: Callable[[np.ndarray], float],
     bounds: tuple[Sequence[float], Sequence[float]],
     params: AbcParams,
-    threads: int = 1,
 ) -> SolveResult:
     """Minimize ``objective`` over the box ``bounds`` with a bee colony.
 
     ``objective`` must be pure, deterministic, and finite (non-negative) on
-    the box.  ``threads`` must be at least 1.  With ``threads > 1`` candidate
-    evaluations within each phase run on a thread pool; all randomness is
-    drawn up front on the main thread and results are applied in source
-    order, so the outcome is identical to the single-threaded run.
+    the box.  Each phase draws its randomness first, then calls
+    ``objective`` once per candidate, in source order, on the calling
+    thread.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     lower = np.asarray(bounds[0], dtype=float)
     upper = np.asarray(bounds[1], dtype=float)
     if lower.ndim != 1 or lower.shape != upper.shape:
@@ -183,59 +178,52 @@ def optimize(
     tau = params.num_bees
     rng = np.random.default_rng(params.rng_seed)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    apply = map if pool is None else pool.map
-
     def evaluate(batch: np.ndarray) -> np.ndarray:
         """Costs of the batch's rows; :func:`fitness` rejects invalid ones."""
-        costs = np.fromiter(apply(objective, batch), dtype=float, count=len(batch))
+        costs = np.fromiter(map(objective, batch), dtype=float, count=len(batch))
         fitness(costs)
         return costs
 
-    try:
-        solutions = rng.uniform(lower, upper, (tau, dim))
-        costs = evaluate(solutions)
-        stagnation = np.zeros(tau, dtype=np.int64)
-        scout_counts = np.zeros(tau, dtype=np.int64)
-        best = _improve_best(solutions, costs, (math.inf, None))
-        history = np.empty((params.max_iterations, 2), dtype=float)
+    solutions = rng.uniform(lower, upper, (tau, dim))
+    costs = evaluate(solutions)
+    stagnation = np.zeros(tau, dtype=np.int64)
+    scout_counts = np.zeros(tau, dtype=np.int64)
+    best = _improve_best(solutions, costs, (math.inf, None))
+    history = np.empty((params.max_iterations, 2), dtype=float)
 
-        for iteration in range(params.max_iterations):
-            # Employed phase: one trial per source.  Onlooker phase:
-            # fitness-proportional retries.  Each phase builds its trials from
-            # a snapshot of the colony and then applies greedy replacement.
-            for onlooker in (False, True):
-                targets = roulette_many(fitness(costs), rng, tau) if onlooker else np.arange(tau)
-                partners = _partners(rng, targets, tau)
-                trials = propose(
-                    solutions[targets], solutions[partners], rng, lower, upper,
-                    params.mutate_all_dims,
-                )
-                trial_costs = evaluate(trials)
-                for t, i in enumerate(targets):
-                    if trial_costs[t] < costs[i]:
-                        solutions[i] = trials[t]
-                        costs[i] = trial_costs[t]
-                        stagnation[i] = 0
-                    else:
-                        stagnation[i] += 1
-                best = _improve_best(solutions, costs, best)
+    for iteration in range(params.max_iterations):
+        # Employed phase: one trial per source.  Onlooker phase:
+        # fitness-proportional retries.  Each phase builds its trials from
+        # a snapshot of the colony and then applies greedy replacement.
+        for onlooker in (False, True):
+            targets = roulette_many(fitness(costs), rng, tau) if onlooker else np.arange(tau)
+            partners = _partners(rng, targets, tau)
+            trials = propose(
+                solutions[targets], solutions[partners], rng, lower, upper,
+                params.mutate_all_dims,
+            )
+            trial_costs = evaluate(trials)
+            for t, i in enumerate(targets):
+                if trial_costs[t] < costs[i]:
+                    solutions[i] = trials[t]
+                    costs[i] = trial_costs[t]
+                    stagnation[i] = 0
+                else:
+                    stagnation[i] += 1
+            best = _improve_best(solutions, costs, best)
 
-            # Scout phase: abandon exhausted sources.  The streak can grow by
-            # two per iteration, so the trigger is >= rather than ==.
-            scouts = np.flatnonzero(stagnation >= params.abandonment_threshold)
-            if scouts.size:
-                fresh = rng.uniform(lower, upper, (scouts.size, dim))
-                solutions[scouts] = fresh
-                costs[scouts] = evaluate(fresh)
-                stagnation[scouts] = 0
-                scout_counts[scouts] += 1
-                best = _improve_best(solutions, costs, best)
+        # Scout phase: abandon exhausted sources.  The streak can grow by
+        # two per iteration, so the trigger is >= rather than ==.
+        scouts = np.flatnonzero(stagnation >= params.abandonment_threshold)
+        if scouts.size:
+            fresh = rng.uniform(lower, upper, (scouts.size, dim))
+            solutions[scouts] = fresh
+            costs[scouts] = evaluate(fresh)
+            stagnation[scouts] = 0
+            scout_counts[scouts] += 1
+            best = _improve_best(solutions, costs, best)
 
-            history[iteration] = best[0], costs.mean()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        history[iteration] = best[0], costs.mean()
 
     best_cost, best_solution = best
     for column in (history, solutions, costs, stagnation, scout_counts):

@@ -2,18 +2,19 @@
 
 Subcommands::
 
-    lidarplace optimize      --scenario S.json --out DIR [--seed N] [--threads N]
+    lidarplace optimize      --scenario S.json --out DIR [--seed N]
     lidarplace evaluate      --scenario S.json --poses P.json --out DIR
     lidarplace sweep         --scenario S.json --counts 1,2,3 [--models a,b] --out DIR
     lidarplace odr           --scenario S.json (--poses P.json | --record results.json)
                              [--scatter N] --out DIR
     lidarplace export-voxels --record results.json --out DIR
 
-Result files are deterministic: rerunning any command with the same scenario
-and seed reproduces them byte for byte, regardless of ``--threads``.  Timing
-is printed to stdout only, never written into result files.  Errors exit
-nonzero and print ``error[CODE]: message`` on stderr; see the README for the
-code list.
+Every command evaluates on one thread.  Each also accepts
+``--threads N`` and checks its range, but none reads it, so no result depends
+on it.  Result files are deterministic: rerunning any command with the same
+scenario and seed reproduces them byte for byte.  Timing is printed to stdout
+only, never written into result files.  Errors exit nonzero and print
+``error[CODE]: message`` on stderr; see the README for the code list.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ EXIT_MISSING = 4
 # the text they hold at once.
 _WRITE_BLOCK = 1024
 
-# Most objective threads a command may start.  A fixed cap gives the same
-# error on every machine; a colony's pool would otherwise start one thread
-# per trial of a phase, up to ``--threads``.
+# Largest ``--threads`` a command accepts.  No command reads the flag; the
+# fixed range gives every out-of-range value the same error on every machine.
 MAX_THREADS = 64
 
 # Most configurations ``odr --scatter`` may sample, as many as an estimate's
@@ -260,9 +260,7 @@ def cmd_optimize(args) -> int:
     models = scenario.model_sequence()
 
     started = time.perf_counter()
-    poses, result = cost.search_placement(
-        models, grid, scenario.bounds, scenario.abc, threads=args.threads
-    )
+    poses, result = cost.search_placement(models, grid, scenario.bounds, scenario.abc)
     duration = time.perf_counter() - started
 
     report = cost.evaluate_placement(poses, models, grid)
@@ -352,9 +350,7 @@ def cmd_sweep(args) -> int:
         best_by_count = []
         for count in counts:
             cell = replace(scenario, lidars=((name, count),))
-            _, result = cost.search_placement(
-                cell.model_sequence(), cell.grid, cell.bounds, cell.abc, threads=args.threads
-            )
+            _, result = cost.search_placement(cell.model_sequence(), cell.grid, cell.bounds, cell.abc)
             rows.append(f"{name},{count},{_fmt(result.best_cost)}")
             best_by_count.append((count, result.best_cost))
             print(f"{name} x{count}: best max VSR {result.best_cost:.6f}")
@@ -395,9 +391,9 @@ def cmd_odr(args) -> int:
     settings = scenario.odr
     seed = scenario.abc.rng_seed
 
-    if args.poses:
+    if args.poses is not None:
         poses, code = _load_poses_file(args.poses), "POSES_INVALID"
-    elif args.record:
+    elif args.record is not None:
         poses, code = _poses_from_record(args.record)[0], "RECORD_INVALID"
     else:
         raise CliError("POSES_MISSING", "odr needs --poses or --record", EXIT_USAGE)
@@ -481,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--seed", type=_integer, default=None, help="override the scenario RNG seed (>= 0)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        threads_help = "objective evaluation threads (read by optimize and sweep only)"
+        threads_help = f"unused, checked to lie in [1, {MAX_THREADS}]; every command runs on one thread"
         p.add_argument("--threads", type=_integer, default=1, help=threads_help)
 
     p = sub.add_parser("optimize", help="search for the best sensor poses")

@@ -168,19 +168,18 @@ def decision_bounds(bounds: PoseBounds, num_lidars: int) -> tuple[np.ndarray, np
 
 
 def search_placement(
-    models: Sequence[LidarModel], grid: VoxelGrid, bounds: PoseBounds, params: bees.AbcParams,
-    threads: int = 1,
+    models: Sequence[LidarModel], grid: VoxelGrid, bounds: PoseBounds, params: bees.AbcParams
 ) -> tuple[tuple[PoseConfig, ...], bees.SolveResult]:
     """Bee-colony search for the poses of ``models`` with the smallest :func:`max_vsr`.
 
-    The colony searches the :func:`decision_bounds` box of ``bounds`` with
-    ``threads`` evaluation threads.  Returns the best poses and the colony's
-    result, whose ``best_cost`` is the max VSR of those poses.
+    The colony searches the :func:`decision_bounds` box of ``bounds``.
+    Returns the best poses and the colony's result, whose ``best_cost`` is
+    the max VSR of those poses.
     """
     models = tuple(models)
 
     def objective(vector: np.ndarray) -> float:
         return max_vsr(poses_from_vector(vector, len(models)), models, grid)
 
-    result = bees.optimize(objective, decision_bounds(bounds, len(models)), params, threads=threads)
+    result = bees.optimize(objective, decision_bounds(bounds, len(models)), params)
     return poses_from_vector(result.best_solution, len(models)), result

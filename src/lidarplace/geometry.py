@@ -46,7 +46,10 @@ MAX_BEAMS = 255
 EXTENT_TOLERANCE = 1e-9
 
 # Most voxels a grid may have, ~350x av_rooftop's 48 000: a grid keeps about
-# 50 bytes per voxel, and padded-grid cell indices stay within int32.
+# 50 bytes per voxel, and padded-grid cell indices stay within int32.  A cold
+# evaluation peaks higher: one 2-sensor ``max_vsr`` on a 2^21-voxel grid
+# allocates 118 MiB at its tracemalloc peak, ~59 bytes per voxel, so about
+# 1 GB at this limit.
 MAX_VOXELS = 2**24
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -77,7 +78,7 @@ class TestOptimize:
 
     def test_full_scale_threads_write_identical_bytes(self, tmp_path):
         # av_rooftop at full resolution (4 x beam16, 47 040 voxels) with a
-        # short colony: two threads evaluate at once and must write what one does
+        # short colony: --threads 2 must write what --threads 1 does
         scenario = json.loads((SCENARIO_DIR / "av_rooftop.json").read_text(encoding="utf-8"))
         scenario["abc"].update(num_bees=8, max_iterations=2)
         path = tmp_path / "full.json"
@@ -89,6 +90,28 @@ class TestOptimize:
             assert main(argv) == 0
             outputs.append(read_all_bytes(out))
         assert list(outputs[0]) == ["convergence.csv", "results.json", "voxels.csv", "voxels.ply"]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv", [["optimize"], ["sweep", "--counts", "1"]], ids=["optimize", "sweep"]
+    )
+    def test_every_evaluation_runs_on_the_calling_thread(self, tiny_scenario, tmp_path, argv):
+        max_vsr = lp.cost.max_vsr
+        idents = []
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            return max_vsr(*args)
+
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / threads
+            with mock.patch.object(lp.cost, "max_vsr", recording):
+                code = main([*argv, "--scenario", str(tiny_scenario), "--out", str(out),
+                             "--threads", threads])
+            assert code == 0
+            outputs.append(read_all_bytes(out))
+        assert idents and set(idents) == {threading.get_ident()}
         assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_digest(self, tiny_scenario, tmp_path):
@@ -513,6 +536,8 @@ class TestInputsCheckedBeforeOut:
             (["evaluate", "--poses", "{directory}"], "POSES_MISSING", 4),
             (["odr", "--poses", "{directory}"], "POSES_MISSING", 4),
             (["odr", "--record", "{directory}"], "RECORD_MISSING", 4),
+            (["odr", "--poses", ""], "POSES_MISSING", 4),
+            (["odr", "--record", ""], "RECORD_MISSING", 4),
         ],
         ids=[
             "evaluate-poses-missing", "evaluate-poses-not-a-list", "evaluate-pose-count",
@@ -523,7 +548,7 @@ class TestInputsCheckedBeforeOut:
             "sweep-count-arabic-indic-digit", "sweep-count-plus-sign", "sweep-unknown-model",
             "sweep-models-comma", "sweep-models-empty",
             "optimize-scenario-directory", "evaluate-poses-directory", "odr-poses-directory",
-            "odr-record-directory",
+            "odr-record-directory", "odr-poses-empty", "odr-record-empty",
         ],
     )
     def test_bad_input_leaves_no_out_dir(self, inputs, tmp_path, capsys, argv, code, exit_code):
@@ -881,14 +906,16 @@ class TestOneGridBuildPerCommand:
 
 class TestRuntimeDependencies:
     def test_a_command_loads_no_scipy(self, tiny_scenario, tmp_path):
-        # numpy is the one runtime dependency; scipy serves only the tests
+        # numpy is the one runtime dependency; scipy serves only the tests.
+        # A command evaluates on one thread, so it needs no executor either.
         poses = tmp_path / "poses.json"
         poses.write_text(json.dumps([{"position": [4.0, 4.0, 3.0]}]), encoding="utf-8")
         script = (
             "import sys\n"
             "from lidarplace.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))\n"
         )
         argv = ["evaluate", "--scenario", str(tiny_scenario), "--poses", str(poses)]
         src = str(Path(lp.__file__).resolve().parents[1])
