@@ -104,7 +104,10 @@ def _metrics(group: np.ndarray, count: int, r, grid: VoxelGrid):
 
 
 def max_vsr(
-    configs: Sequence[PoseConfig], models: Sequence[LidarModel], grid: VoxelGrid
+    configs: Sequence[PoseConfig],
+    models: Sequence[LidarModel],
+    grid: VoxelGrid,
+    columns: segmentation.ColumnCache | None = None,
 ) -> float:
     """Objective value of a configuration set: the largest subspace VSR.
 
@@ -113,10 +116,11 @@ def max_vsr(
     counts; the components are never numbered voxel by voxel, since the
     maximum does not depend on their order.  A labeling that leaves
     everything in one subspace is valid and returns that block's VSR.
-    Deterministic: identical inputs give bit-identical values.  See
-    :func:`evaluate_placement` for the per-subspace table.
+    Deterministic: identical inputs give bit-identical values.  ``columns``
+    is passed on to ``first_level_labels``.  See :func:`evaluate_placement`
+    for the per-subspace table.
     """
-    r = _code_runs(segmentation.first_level_labels(configs, models, grid), grid)
+    r = _code_runs(segmentation.first_level_labels(configs, models, grid, columns), grid)
     count, run_comp = _run_components(r.start.size, r.src, r.dst)
     return float(_metrics(run_comp, count, r, grid)[3].max())
 
@@ -167,6 +171,25 @@ def decision_bounds(bounds: PoseBounds, num_lidars: int) -> tuple[np.ndarray, np
     return np.tile(lo, num_lidars), np.tile(hi, num_lidars)
 
 
+# Most bytes of digit columns one colony search keeps, at one byte per
+# active voxel and column: 5 706 columns of av_rooftop (47 040 voxels), four
+# times the 1 400 (66 MB) of the paper's 200-bee, 4-sensor colony, and 16 of
+# a grid at ``geometry.MAX_VOXELS``.
+COLONY_COLUMN_BYTES = 2**28
+
+
+def _colony_columns(num_bees: int, num_lidars: int, grid: VoxelGrid) -> int:
+    """Columns one colony search keeps: ``num_bees * (num_lidars + 3)``, within the byte ceiling.
+
+    One iteration reads every bee's ``num_lidars`` source columns and two
+    trial columns per bee, from its employed and onlooker moves.  Between
+    two reads of one source column the colony touches about that many
+    others, so one more column per bee keeps least-recently-used eviction
+    from dropping sources.
+    """
+    return min(num_bees * (num_lidars + 3), COLONY_COLUMN_BYTES // max(grid.num_active, 1))
+
+
 def search_placement(
     models: Sequence[LidarModel], grid: VoxelGrid, bounds: PoseBounds, params: bees.AbcParams
 ) -> tuple[tuple[PoseConfig, ...], bees.SolveResult]:
@@ -174,12 +197,15 @@ def search_placement(
 
     The colony searches the :func:`decision_bounds` box of ``bounds``.
     Returns the best poses and the colony's result, whose ``best_cost`` is
-    the max VSR of those poses.
+    the max VSR of those poses.  The evaluations share one column cache of
+    :func:`_colony_columns` digit columns, which keeps every sensor's column
+    of every bee plus the trial columns of the moves in flight.
     """
     models = tuple(models)
+    columns = segmentation.ColumnCache(_colony_columns(params.num_bees, len(models), grid))
 
     def objective(vector: np.ndarray) -> float:
-        return max_vsr(poses_from_vector(vector, len(models)), models, grid)
+        return max_vsr(poses_from_vector(vector, len(models)), models, grid, columns)
 
     result = bees.optimize(objective, decision_bounds(bounds, len(models)), params)
     return poses_from_vector(result.best_solution, len(models)), result

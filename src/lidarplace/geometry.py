@@ -49,7 +49,8 @@ EXTENT_TOLERANCE = 1e-9
 # 50 bytes per voxel, and padded-grid cell indices stay within int32.  A cold
 # evaluation peaks higher: one 2-sensor ``max_vsr`` on a 2^21-voxel grid
 # allocates 118 MiB at its tracemalloc peak, ~59 bytes per voxel, so about
-# 1 GB at this limit.
+# 1 GB at this limit.  A colony search's column cache adds at most
+# ``cost.COLONY_COLUMN_BYTES`` (256 MiB), 16 columns at this limit.
 MAX_VOXELS = 2**24
 
 
@@ -286,6 +287,20 @@ class VoxelGrid:
         cells = self.active_indices @ np.array(self.padded_strides, dtype=np.int64)
         cells.flags.writeable = False
         return cells
+
+    @cached_property
+    def lattice_rows(self) -> np.ndarray:
+        """Row of each active voxel in the dense lattice, built once per grid.
+
+        The dense lattice lists all :attr:`num_voxels` voxels z layer by z
+        layer, x-major in each, with y contiguous: voxel ``(i, j, k)`` sits
+        in row ``(k * nx + i) * ny + j``.
+        """
+        i, j, k = self.active_indices.T
+        nx, ny, _ = self.dims
+        rows = (k * nx + i) * ny + j
+        rows.flags.writeable = False
+        return rows
 
     def pad(self, values) -> np.ndarray:
         """Active-voxel ``values`` on the padded layout, ``-1`` in every other cell.

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cost
 from .geometry import EXTENT_TOLERANCE, Box, LidarModel, PoseBounds, PoseConfig, VoxelGrid, as_vec3
-from .segmentation import component_ids, first_level_labels
+from .segmentation import ColumnCache, component_ids, first_level_labels
 
 __all__ = [
     "OdrSettings",
@@ -151,16 +151,18 @@ def estimate_odr(
     grid: VoxelGrid,
     settings: OdrSettings,
     rng: np.random.Generator,
+    columns: ColumnCache | None = None,
 ) -> OdrReport:
     """Estimate the detection rate of ``configs`` by random object placement.
 
     Each of ``settings.trials`` placements draws the object's min corner
     uniformly from its placement region; the trial detects when the object
     occupies more than ``settings.threshold`` subspaces.  Deterministic for
-    a fixed ``rng`` state, and always returns a rate in [0, 1].
+    a fixed ``rng`` state, and always returns a rate in [0, 1].  ``columns``
+    is passed on to ``first_level_labels``.
     """
     region = settings.corner_region(grid.extent)
-    comp, _ = component_ids(first_level_labels(configs, models, grid), grid)
+    comp, _ = component_ids(first_level_labels(configs, models, grid, columns), grid)
 
     corners = rng.uniform(region.minimum, region.maximum, (settings.trials, 3))
     counts = _occupied_counts(comp, grid, corners, corners + settings.object_dims)
@@ -180,16 +182,20 @@ def vsr_odr_scatter(
     """``(max_vsr, odr)`` of ``samples`` placements drawn uniformly from ``bounds``.
 
     Child 0 of ``SeedSequence(seed)`` draws the placements and child ``i + 1``
-    sample ``i``'s trials; each child is built only when it is needed.
+    sample ``i``'s trials; each child is built only when it is needed.  A
+    sample's max VSR and ODR share its digit columns through one cache of
+    ``len(models)`` columns.
     """
     def child_rng(i):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
     config_rng = child_rng(0)
     lower, upper = cost.decision_bounds(bounds, len(models))
+    columns = ColumnCache(len(models))
     points = []
     for i in range(samples):
         poses = cost.poses_from_vector(config_rng.uniform(lower, upper), len(models))
-        vsr = cost.max_vsr(poses, models, grid)
-        points.append((vsr, estimate_odr(poses, models, grid, settings, child_rng(i + 1)).odr))
+        vsr = cost.max_vsr(poses, models, grid, columns)
+        report = estimate_odr(poses, models, grid, settings, child_rng(i + 1), columns)
+        points.append((vsr, report.odr))
     return points

@@ -5,16 +5,17 @@ which inter-beam band the voxel center falls in (0 = below the lowest beam
 cone, ``num_beams`` = on or above the highest).  The digit vector over all
 LiDARs is the voxel's subspace code; with ``L`` sensors of ``B`` beams there
 are at most ``(B+1)^L`` distinct codes.  One sensor's digits over the grid
-(its digit column) depend only on its pose, its model and the grid, so the
-last grid labelled keeps its columns in a least-recently-used cache of at
-most ``COLUMN_CACHE_BYTES``; a colony move that changes one sensor's pose
-recomputes only that sensor's column.  A column is computed on the dense
-voxel lattice: ``world_to_lidar`` of one probe point per voxel layer gives
-each axis's product terms, and summing them in its own order costs one add
-per voxel and coordinate.  Each digit is read from a per-model table over
-fixed-width bins of ``z / r``; only rows in a bin near a cone, or with a
-tiny or non-finite ``r``, are stepped against the exact rule
-``tan(pitch_k) * r <= z``.  The byte digits are then gathered to active
+(its digit column) depend only on its pose, its model and the grid.  A
+caller that labels many poses passes a :class:`ColumnCache` sized to its own
+working set (the colony in ``cost.search_placement``, the samples in
+``odr.vsr_odr_scatter``), so a colony move that changes one sensor's pose
+recomputes only that sensor's column; without one, every column is computed
+anew.  A column is computed on the dense voxel lattice: ``world_to_lidar`` of
+one probe point per voxel layer gives each axis's product terms, and summing
+them in its own order costs one add per voxel and coordinate.  Each digit
+is read from a per-model table over fixed-width bins of ``z / r``; only rows
+in a bin near a cone, or with a tiny or non-finite ``r``, are stepped
+against the exact rule ``tan(pitch_k) * r <= z``.  The byte digits are then gathered to active
 order, and ``first_level_labels`` returns them as a ``uint8`` matrix.
 
 Second level: voxels sharing a code are split into maximal face-connected
@@ -41,17 +42,10 @@ from .geometry import LidarModel, PoseConfig, VoxelGrid, world_to_lidar
 
 __all__ = [
     "beam_digits",
+    "ColumnCache",
     "first_level_labels",
     "component_ids",
 ]
-
-# Bytes of digit columns the last grid labelled may keep.  A column takes one
-# byte per active voxel plus the overhead below, so this keeps ~660 columns
-# of av_rooftop_small (5 840 voxels) or ~88 of av_rooftop (47 040).
-COLUMN_CACHE_BYTES = 4 * 2**20
-# Charged per cached column on top of its data (key, array header, list node),
-# so that columns of tiny grids cannot pile up without bound.
-_ENTRY_OVERHEAD_BYTES = 512
 
 # Fixed-width bins of z / r in a model's digit table (see _bin_table).  The
 # ~5 bins around each tangent are ambiguous and their rows take the exact
@@ -199,11 +193,11 @@ def _lattice_points(pose: PoseConfig, grid: VoxelGrid) -> np.ndarray:
 
     Returns ``(grid.num_voxels, 3)``, one contiguous column per coordinate,
     with voxel ``(i, j, k)`` in row ``(k * nx + i) * ny + j``
-    (:func:`_lattice_rows`).  Each coordinate of ``world_to_lidar`` is a sum
-    of one product term per world axis.  A probe point holding a layer's
-    center on its own axis and the sensor's position on the other two gives
-    exactly that layer's terms (the other differences are zero), up to the
-    sign of a zero.  The terms are summed in ``world_to_lidar``'s order, x
+    (:attr:`VoxelGrid.lattice_rows`).  Each coordinate of ``world_to_lidar``
+    is a sum of one product term per world axis.  A probe point holding a
+    layer's center on its own axis and the sensor's position on the other two
+    gives exactly that layer's terms (the other differences are zero), up to
+    the sign of a zero.  The terms are summed in ``world_to_lidar``'s order, x
     plus y over one plane, then plus z per plane, so each coordinate equals
     the direct transform's up to the sign of a zero, which no band
     comparison can see.
@@ -223,58 +217,66 @@ def _lattice_points(pose: PoseConfig, grid: VoxelGrid) -> np.ndarray:
     return local
 
 
-def _lattice_rows(grid: VoxelGrid) -> np.ndarray:
-    """The row of each active voxel in :func:`_lattice_points`."""
-    i, j, k = grid.active_indices.T
-    nx, ny, _ = grid.dims
-    return (k * nx + i) * ny + j
+def _digit_column(pose: PoseConfig, model: LidarModel, grid: VoxelGrid) -> np.ndarray:
+    """One sensor's read-only ``uint8`` digits, one per active voxel of ``grid``.
 
-
-@functools.lru_cache(maxsize=1)
-def _grid_columns(grid: VoxelGrid):
-    """The digit-column function of ``grid``, with its own least-recently-used cache.
-
-    Only the last grid labelled keeps its columns.  Every column of one grid
-    takes the same bytes, so ``COLUMN_CACHE_BYTES`` becomes a count (0 caches
-    nothing).  Models compare by identity, so the key holds the model itself
-    plus the exact bytes of the pose, from which a miss rebuilds the pose.
-    A miss labels the dense lattice (:func:`_lattice_points`) and gathers
-    the active voxels' digits.
+    Labels the dense lattice (:func:`_lattice_points`) and gathers the
+    active voxels' digits.
     """
-    active = _lattice_rows(grid)
+    digits = beam_digits(model, _lattice_points(pose, grid))
+    return _read_only(digits.astype(np.uint8).take(grid.lattice_rows))
 
-    @functools.lru_cache(maxsize=COLUMN_CACHE_BYTES // (grid.num_active + _ENTRY_OVERHEAD_BYTES))
-    def column(pose_bytes: bytes, model: LidarModel) -> np.ndarray:
-        x, y, z, yaw, pitch, roll = np.frombuffer(pose_bytes)
-        pose = PoseConfig(position=[x, y, z], yaw=yaw, pitch=pitch, roll=roll)
-        digits = beam_digits(model, _lattice_points(pose, grid))
-        return _read_only(digits.astype(np.uint8).take(active))
 
-    return column
+class ColumnCache:
+    """A least-recently-used cache of at most ``capacity`` digit columns.
+
+    Calling it with ``(pose, model, grid)`` returns that sensor's column, the
+    one computed earlier for the same pose, model and grid when it is still
+    held.  The key is the exact bytes of the pose plus the model and the
+    grid, which compare by identity; a miss rebuilds the pose from its
+    bytes.  A column takes one byte per active voxel, so its owner sizes the
+    cache to its working set and bytes.  ``capacity`` 0 keeps nothing and
+    ``None`` has no bound.  ``cache_info()`` counts hits and misses.  The
+    bookkeeping is ``functools.lru_cache``'s, safe to share among threads.
+    """
+
+    def __init__(self, capacity: int | None):
+        @functools.lru_cache(maxsize=capacity)
+        def column(pose_bytes: bytes, model: LidarModel, grid: VoxelGrid) -> np.ndarray:
+            x, y, z, yaw, pitch, roll = np.frombuffer(pose_bytes)
+            pose = PoseConfig(position=[x, y, z], yaw=yaw, pitch=pitch, roll=roll)
+            return _digit_column(pose, model, grid)
+
+        self._column = column
+        self.cache_info = column.cache_info
+
+    def __call__(self, pose: PoseConfig, model: LidarModel, grid: VoxelGrid) -> np.ndarray:
+        return self._column(pose.as_vector().tobytes(), model, grid)
 
 
 def first_level_labels(
     configs: Sequence[PoseConfig],
     models: Sequence[LidarModel],
     grid: VoxelGrid,
+    columns: ColumnCache | None = None,
 ) -> np.ndarray:
     """Per-active-voxel ``uint8`` digit matrix, one column per LiDAR, stored column-major.
 
     Row ``i`` holds the subspace code of ``grid.active_indices[i]``; digit
     ``j`` comes from transforming the voxel center into LiDAR ``j``'s frame
-    and applying :func:`beam_digits`.  A column already computed for the same
-    pose and model on the last grid labelled is taken from its cache.  Raises
-    ``ValueError`` when the grid has no active voxel, since there is then no
-    subspace to score or occupy.
+    and applying :func:`beam_digits`.  Each column is taken from ``columns``
+    when given (computing and keeping it there on a miss), else computed
+    anew.  Raises ``ValueError`` when the grid has no active voxel, since
+    there is then no subspace to score or occupy.
     """
     if len(configs) != len(models) or len(configs) == 0:
         raise ValueError("need the same nonzero number of poses and models")
     if grid.num_active == 0:
         raise ValueError("ROI has no active voxels; nothing to segment")
-    column = _grid_columns(grid)
+    column = _digit_column if columns is None else columns
     labels = np.empty((grid.num_active, len(configs)), dtype=np.uint8, order="F")
     for j, (pose, model) in enumerate(zip(configs, models)):
-        labels[:, j] = column(pose.as_vector().tobytes(), model)
+        labels[:, j] = column(pose, model, grid)
     return labels
 
 
@@ -411,5 +413,9 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
     np.minimum.at(first, run_comp, (i * ny + j) * nz + k)
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(count)
-    voxel_run = np.searchsorted(r.start, grid.padded_cells, side="right") - 1
-    return rank[run_comp][voxel_run], count
+    # An active cell's run is the last one starting at or before it: count
+    # the run starts up to each cell.
+    run_of = np.zeros((nx + 1) * sx, dtype=np.intp)
+    run_of[r.start] = 1
+    np.cumsum(run_of, out=run_of)
+    return rank[run_comp][run_of[grid.padded_cells] - 1], count

@@ -1,4 +1,6 @@
 import math
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from oracles import (
 )
 
 RES = np.array([1.0, 0.5, 0.2])
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def random_blob(rng, max_size=60):
@@ -466,3 +469,48 @@ class TestDecisionVector:
         decoded = lp.poses_from_vector(result.best_solution, 2)
         assert [p.as_vector().tolist() for p in poses] == [p.as_vector().tolist() for p in decoded]
         assert result.best_cost.hex() == lp.max_vsr(poses, models, grid).hex()
+
+
+class TestColonyColumns:
+    def test_capacity_follows_the_rule_within_the_byte_ceiling(self, monkeypatch):
+        grid = lp.build_voxel_grid(lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1]))
+        assert lp.cost._colony_columns(200, 4, grid) == 200 * (4 + 3)
+        assert lp.cost._colony_columns(2, 1, grid) == 2 * (1 + 3)
+        # the paper's colony on av_rooftop keeps its whole working set
+        full = lp.load_scenario(SCENARIO_DIR / "av_rooftop.json").grid
+        assert lp.cost._colony_columns(200, 4, full) == 1400
+        assert 1400 * full.num_active <= lp.cost.COLONY_COLUMN_BYTES
+        # columns that would pass the ceiling are left out
+        largest = SimpleNamespace(num_active=lp.geometry.MAX_VOXELS)
+        assert lp.cost._colony_columns(200, 4, largest) == 16
+        monkeypatch.setattr(lp.cost, "COLONY_COLUMN_BYTES", 100 * grid.num_active + 255)
+        assert lp.cost._colony_columns(200, 4, grid) == 100
+        assert lp.cost._colony_columns(10, 4, grid) == 70
+
+    @staticmethod
+    def search(unbounded=False):
+        """A 50-bee, 6-iteration colony on av_rooftop_small, and the column cache it used."""
+        scenario = lp.load_scenario(SCENARIO_DIR / "av_rooftop_small.json")
+        models = scenario.model_sequence()
+        params = lp.AbcParams(num_bees=50, max_iterations=6)
+        caches = []
+
+        def cache(size):
+            caches.append(lp.ColumnCache(None if unbounded else size))
+            return caches[-1]
+
+        with mock.patch.object(segmentation, "ColumnCache", cache):
+            _, result = lp.search_placement(models, scenario.grid, scenario.bounds, params)
+        assert len(caches) == 1
+        return result, caches[0].cache_info(), len(models)
+
+    def test_sized_cache_matches_an_unbounded_one(self):
+        sized, info, num_lidars = self.search()
+        unbounded, free, _ = self.search(unbounded=True)
+        assert info.maxsize == 50 * (num_lidars + 3) < free.currsize
+        assert sized.best_cost.hex() == unbounded.best_cost.hex()
+        for name in ("best_solution", "history", "solutions", "costs", "stagnation", "scout_counts"):
+            assert np.array_equal(getattr(sized, name), getattr(unbounded, name)), name
+        assert info.hits + info.misses == free.hits + free.misses
+        # the colony misses a few more columns than with room for every one
+        assert free.misses <= info.misses <= 1.05 * free.misses

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from grids import blob_grid, voxel_centers
-from lidarplace import odr
+from lidarplace import odr, segmentation
 from oracles import occupied_subspaces_ref, vsr_odr_scatter_ref
 
 GRID = lp.build_voxel_grid(lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1]))
@@ -285,16 +285,26 @@ class TestEstimateOdr:
 
 
 class TestVsrOdrScatter:
+    MODELS = (MODEL, lp.LidarModel.evenly_spaced(4, -0.5, 0.5))
+    BOUNDS = lp.PoseBounds(
+        lower=lp.PoseConfig(position=[2, 2, 2.5]),
+        upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
+    )
+    SETTINGS = lp.OdrSettings(object_dims=[2.0, 2.0, 2.0], trials=60, threshold=1)
+
     @pytest.mark.parametrize("samples", [0, 1, 5])
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_matches_the_loop_it_replaces(self, seed, samples):
-        models = [MODEL, lp.LidarModel.evenly_spaced(4, -0.5, 0.5)]
-        bounds = lp.PoseBounds(
-            lower=lp.PoseConfig(position=[2, 2, 2.5]),
-            upper=lp.PoseConfig(position=[6, 6, 3.8], pitch=0.8, roll=0.3),
-        )
-        settings = lp.OdrSettings(object_dims=[2.0, 2.0, 2.0], trials=60, threshold=1)
-        points = lp.vsr_odr_scatter(models, GRID, bounds, settings, seed, samples)
-        expected = vsr_odr_scatter_ref(models, GRID, bounds, settings, seed, samples)
+        args = self.MODELS, GRID, self.BOUNDS, self.SETTINGS, seed, samples
+        points = lp.vsr_odr_scatter(*args)
+        expected = vsr_odr_scatter_ref(*args)
         # bit for bit: the same floats, not just equal within rounding
         assert [(v.hex(), o.hex()) for v, o in points] == [(v.hex(), o.hex()) for v, o in expected]
+
+    def test_each_sample_computes_its_columns_once(self):
+        # a sample's max VSR and its ODR estimate share its digit columns
+        counted = mock.Mock(wraps=segmentation.beam_digits)
+        with mock.patch.object(segmentation, "beam_digits", counted):
+            points = lp.vsr_odr_scatter(self.MODELS, GRID, self.BOUNDS, self.SETTINGS, 3, 4)
+        assert len(points) == 4
+        assert counted.call_count == len(self.MODELS) * 4

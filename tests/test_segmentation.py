@@ -194,84 +194,69 @@ def _uncached_labels(poses, models, grid):
     )
 
 
-@pytest.fixture
-def column_budget(monkeypatch):
-    """Sets ``COLUMN_CACHE_BYTES`` anew; no grid's column cache outlives the test."""
-
-    def set_budget(budget):
-        monkeypatch.setattr(segmentation, "COLUMN_CACHE_BYTES", budget)
-        segmentation._grid_columns.cache_clear()
-
-    set_budget(segmentation.COLUMN_CACHE_BYTES)
-    yield set_budget
-    segmentation._grid_columns.cache_clear()
-
-
-@pytest.mark.usefixtures("column_budget")
 class TestColumnCache:
-    def test_cold_and_warm_cache_agree(self):
+    def test_cold_warm_and_uncached_runs_agree(self):
         grid, poses = _pose_grid()
         models = [TWO_BEAM, TWO_BEAM]
-        cold = lp.first_level_labels(poses, models, grid)
-        warm = lp.first_level_labels(poses, models, grid)
-        assert cold.dtype == warm.dtype == np.uint8
+        columns = lp.ColumnCache(8)
+        cold = lp.first_level_labels(poses, models, grid, columns)
+        warm = lp.first_level_labels(poses, models, grid, columns)
+        uncached = lp.first_level_labels(poses, models, grid)
+        assert cold.dtype == warm.dtype == uncached.dtype == np.uint8
         assert cold.max() <= TWO_BEAM.num_beams
-        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, warm) and np.array_equal(cold, uncached)
+        assert cold.flags.f_contiguous and uncached.flags.f_contiguous
         assert np.array_equal(cold, _uncached_labels(poses, models, grid))
         # equal pose values hit the cache even through a new PoseConfig
         again = [lp.PoseConfig(position=p.position, pitch=p.pitch, roll=p.roll) for p in poses]
-        assert np.array_equal(lp.first_level_labels(again, models, grid), cold)
-        info = segmentation._grid_columns(grid).cache_info()
+        assert np.array_equal(lp.first_level_labels(again, models, grid, columns), cold)
+        info = columns.cache_info()
         assert (info.hits, info.misses) == (4, 2)
 
     def test_cached_columns_are_read_only_bytes(self):
         grid, poses = _pose_grid()
-        columns = segmentation._grid_columns(grid)
-        key = poses[0].as_vector().tobytes()
-        column = columns(key, TWO_BEAM)
+        columns = lp.ColumnCache(8)
+        column = columns(poses[0], TWO_BEAM, grid)
         assert column.dtype == np.uint8 and not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 1
-        assert columns(key, TWO_BEAM) is column
+        assert columns(poses[0], TWO_BEAM, grid) is column
         assert np.array_equal(column, _uncached_labels(poses[:1], [TWO_BEAM], grid)[:, 0])
 
     def test_model_and_grid_are_part_of_the_key(self):
         grid, poses = _pose_grid()
         other_grid = grid_of([8, 8, 4], [1, 1, 1])
         other_model = lp.LidarModel(beam_pitches=[-0.1, 0.05, 0.2])
-        key = poses[0].as_vector().tobytes()
-        columns = segmentation._grid_columns(grid)
-        base = columns(key, TWO_BEAM)
-        labels = lp.first_level_labels(poses[:1], [other_model], grid)
+        columns = lp.ColumnCache(8)
+        base = columns(poses[0], TWO_BEAM, grid)
+        labels = lp.first_level_labels(poses[:1], [other_model], grid, columns)
         assert np.array_equal(labels, _uncached_labels(poses[:1], [other_model], grid))
         assert columns.cache_info().misses == 2
-        other = segmentation._grid_columns(other_grid)(key, TWO_BEAM)
+        other = columns(poses[0], TWO_BEAM, other_grid)
+        assert columns.cache_info().misses == 3
         assert other is not base and np.array_equal(other, base)
 
-    def test_never_exceeds_its_byte_budget(self, column_budget):
-        budget = 20_000
-        column_budget(budget)
+    def test_never_exceeds_its_capacity(self):
         grid, _ = _pose_grid()
-        per_column = grid.num_active + segmentation._ENTRY_OVERHEAD_BYTES
-        columns = segmentation._grid_columns(grid)
-        assert columns.cache_info().maxsize == budget // per_column
+        columns = lp.ColumnCache(5)
+        assert columns.cache_info().maxsize == 5
         rng = np.random.default_rng(31)
         for _ in range(60):
             pose = lp.PoseConfig(position=rng.uniform(0, 8, 3), pitch=rng.uniform(-1, 1))
-            labels = lp.first_level_labels([pose], [TWO_BEAM], grid)
+            labels = lp.first_level_labels([pose], [TWO_BEAM], grid, columns)
             assert np.array_equal(labels, _uncached_labels([pose], [TWO_BEAM], grid))
-            assert columns.cache_info().currsize * per_column <= budget
-        assert columns.cache_info().currsize == budget // per_column
-        # with a budget below one column, every column is computed but none kept
-        column_budget(100)
+            assert columns.cache_info().currsize <= 5
+        assert columns.cache_info().currsize == 5
+        # with no room, every column is computed but none kept
+        columns = lp.ColumnCache(0)
         for _ in range(2):
-            labels = lp.first_level_labels([pose], [TWO_BEAM], grid)
+            labels = lp.first_level_labels([pose], [TWO_BEAM], grid, columns)
             assert np.array_equal(labels, _uncached_labels([pose], [TWO_BEAM], grid))
-        info = segmentation._grid_columns(grid).cache_info()
+        info = columns.cache_info()
         assert (info.maxsize, info.currsize, info.hits, info.misses) == (0, 0, 0, 2)
 
-    def test_concurrent_labelling_keeps_results_and_accounting(self, column_budget):
-        column_budget(8 * (128 + segmentation._ENTRY_OVERHEAD_BYTES))
+    def test_concurrent_labelling_keeps_results_and_accounting(self):
+        columns = lp.ColumnCache(8)
         grid = grid_of([8, 4, 4], [1, 1, 1])
         rng = np.random.default_rng(33)
         poses = [
@@ -284,7 +269,7 @@ class TestColumnCache:
         def work(offset):
             for i in range(200):
                 k = (offset + 7 * i) % len(poses)
-                labels = lp.first_level_labels([poses[k]], [TWO_BEAM], grid)
+                labels = lp.first_level_labels([poses[k]], [TWO_BEAM], grid, columns)
                 if not np.array_equal(labels, expected[k]):
                     mismatches.append(k)
 
@@ -300,17 +285,18 @@ class TestColumnCache:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert mismatches == []
-        info = segmentation._grid_columns(grid).cache_info()
+        info = columns.cache_info()
         assert info.currsize <= info.maxsize == 8
+        assert info.hits + info.misses == 4 * 200
 
-    def test_least_recently_used_column_goes_first(self, column_budget):
+    def test_least_recently_used_column_goes_first(self):
         grid, _ = _pose_grid()
-        column_budget(3 * (grid.num_active + segmentation._ENTRY_OVERHEAD_BYTES))
+        columns = lp.ColumnCache(3)
         poses = [lp.PoseConfig(position=[k + 0.5, 2.5, 3.0]) for k in range(4)]
 
         def misses_after(k):
-            lp.first_level_labels([poses[k]], [TWO_BEAM], grid)
-            return segmentation._grid_columns(grid).cache_info().misses
+            lp.first_level_labels([poses[k]], [TWO_BEAM], grid, columns)
+            return columns.cache_info().misses
 
         assert [misses_after(k) for k in (0, 1, 2)] == [1, 2, 3]
         assert misses_after(0) == 3  # 0 is now the most recent
@@ -318,17 +304,22 @@ class TestColumnCache:
         assert [misses_after(k) for k in (0, 2, 3)] == [4, 4, 4]
         assert misses_after(1) == 5
 
-    def test_discarded_grids_are_not_kept_alive(self):
+    def test_grids_live_no_longer_than_their_cache(self):
         pose = lp.PoseConfig(position=[2.0, 2.0, 1.0])
-        refs = []
-        for _ in range(30):
+        columns = lp.ColumnCache(None)
+        refs, kept = [], []
+        for n in range(30):
             grid = grid_of([4, 4, 2], [1, 1, 1])
-            lp.first_level_labels([pose], [TWO_BEAM], grid)
-            refs.append(weakref.ref(grid))
+            lp.first_level_labels([pose], [TWO_BEAM], grid, columns if n % 2 else None)
+            (kept if n % 2 else refs).append(weakref.ref(grid))
             del grid
         gc.collect()
-        # only the last grid labelled keeps a column cache
-        assert sum(ref() is not None for ref in refs) <= 1
+        # labelling without a cache keeps no grid alive; a cache keeps its own
+        assert all(ref() is None for ref in refs)
+        assert all(ref() is not None for ref in kept)
+        del columns
+        gc.collect()
+        assert all(ref() is None for ref in kept)
 
 
 def _column_case(name):
@@ -370,7 +361,7 @@ class TestDigitColumns:
 
     def test_lattice_matches_the_direct_transform(self, name):
         grid, _, poses = _column_case(name)
-        rows, centers = segmentation._lattice_rows(grid), voxel_centers(grid)
+        rows, centers = grid.lattice_rows, voxel_centers(grid)
         for pose in poses:
             lattice = segmentation._lattice_points(pose, grid)
             assert np.array_equal(lattice[rows], lp.world_to_lidar(pose, centers))
