@@ -14,9 +14,10 @@ the edges leaving its runs, since a face pair never joins two components.
 The placement objective is the maximum volume-to-surface-area ratio (VSR)
 over all subspaces; ``3 * VSR`` estimates the radius of the largest sphere
 that fits inside, so minimizing the maximum VSR, as :func:`search_placement`
-does, shrinks the worst blind spot.  :func:`evaluate_placement` returns the
-whole subspace table as the columns of a :class:`PlacementReport`: each
-component's code plus the :func:`component_metrics` rows.
+does, shrinks the worst blind spot.  :func:`evaluate_placement` reads the
+whole subspace table, a :class:`PlacementReport`, from the segmentation
+that :func:`max_vsr` scores: components numbered by first voxel, each with
+that voxel's code.  :func:`component_metrics` scores any partition.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import bees, segmentation
 from .geometry import LidarModel, PoseBounds, PoseConfig, VoxelGrid
-from .segmentation import _code_runs, _run_components, _runs
+from .segmentation import _number, _runs, _segment
 
 __all__ = [
     "PlacementReport",
@@ -47,8 +48,8 @@ class PlacementReport:
 
     Row ``c`` of every column describes component ``c``: ``codes[c]`` is its
     subspace code (one digit per sensor), and ``voxel_count``, ``volume``,
-    ``surface_area`` and ``vsr`` are the rows of :func:`component_metrics`.
-    ``component_ids`` holds the component of every active voxel.
+    ``surface_area`` and ``vsr`` equal :func:`component_metrics` of
+    ``component_ids``, which holds the component of every active voxel.
     """
 
     objective: float
@@ -120,22 +121,20 @@ def max_vsr(
     is passed on to ``first_level_labels``.  See :func:`evaluate_placement`
     for the per-subspace table.
     """
-    r = _code_runs(segmentation.first_level_labels(configs, models, grid, columns), grid)
-    count, run_comp = _run_components(r.start.size, r.src, r.dst)
+    labels = segmentation.first_level_labels(configs, models, grid, columns)
+    r, count, run_comp = _segment(labels, grid)
     return float(_metrics(run_comp, count, r, grid)[3].max())
 
 
 def evaluate_placement(
     configs: Sequence[PoseConfig], models: Sequence[LidarModel], grid: VoxelGrid
 ) -> PlacementReport:
-    """Per-subspace metrics table plus the max-VSR objective."""
+    """Per-subspace metrics table plus the max-VSR objective, from one segmentation."""
     labels = segmentation.first_level_labels(configs, models, grid)
-    comp, count = segmentation.component_ids(labels, grid)
-    sizes, vol, sa, ratios = component_metrics(comp, count, grid)
-    # Every voxel of a component carries its code, so any member will do.
-    member = np.empty(count, dtype=np.int64)
-    member[comp] = np.arange(comp.size)
-    return PlacementReport(float(ratios.max()), comp, labels[member], sizes, vol, sa, ratios)
+    r, count, run_comp = _segment(labels, grid)
+    run_ids, comp, first_rows = _number(r, count, run_comp, grid)
+    sizes, vol, sa, ratios = _metrics(run_ids, count, r, grid)
+    return PlacementReport(float(ratios.max()), comp, labels[first_rows], sizes, vol, sa, ratios)
 
 
 # Where each of a sensor's decision variables sits in ``PoseConfig.as_vector()``

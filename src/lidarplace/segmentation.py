@@ -349,11 +349,6 @@ def _runs(values: np.ndarray, strides: tuple[int, int, int]) -> _Runs:
     return _Runs(start, end - start, src, dst, np.concatenate(segments), edges[0].shape[1])
 
 
-def _code_runs(labels: np.ndarray, grid: VoxelGrid) -> _Runs:
-    """The y-runs of the subspace codes in ``labels``, one row per active voxel."""
-    return _runs(grid.pad(_pack_rows(labels)), grid.padded_strides)
-
-
 def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the graph on ``n`` nodes with edges ``src[e]``-``dst[e]``.
 
@@ -387,6 +382,27 @@ def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, np.n
     return int(number[-1]) + 1, number[parent]
 
 
+def _segment(labels: np.ndarray, grid: VoxelGrid) -> tuple[_Runs, int, np.ndarray]:
+    """The y-runs of the codes in ``labels``, their component count and each run's component."""
+    r = _runs(grid.pad(_pack_rows(labels)), grid.padded_strides)
+    return (r, *_run_components(r.start.size, r.src, r.dst))
+
+
+def _number(r: _Runs, count: int, run_comp: np.ndarray, grid: VoxelGrid):
+    """Component ids by first voxel in C order: per run, per active voxel, and each first row."""
+    # Active rows are in C order, and a run's first voxel is its start.
+    rows = grid.pad(np.arange(grid.num_active))
+    first = np.full(count, grid.num_active)
+    np.minimum.at(first, run_comp, rows[r.start])
+    order = np.argsort(first)
+    # ``order`` is a permutation, so its argsort is its inverse: each rank.
+    run_ids = np.argsort(order)[run_comp]
+    # The runs hold the active cells in layout order, each run's cells in turn.
+    voxel_ids = np.empty(grid.num_active, dtype=np.int64)
+    voxel_ids[rows[rows >= 0]] = np.repeat(run_ids, r.length)
+    return run_ids, voxel_ids, first[order]
+
+
 def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]:
     """Face-connected component id per active voxel, plus the component count.
 
@@ -400,22 +416,5 @@ def component_ids(labels: np.ndarray, grid: VoxelGrid) -> tuple[np.ndarray, int]
         raise ValueError("labels must be a matrix with one row per active voxel")
     if labels.size and labels.min() < 0:
         raise ValueError("subspace digits must be non-negative")
-    r = _code_runs(labels, grid)
-    count, run_comp = _run_components(r.start.size, r.src, r.dst)
-
-    # A run's first voxel in C order is its start: rank each component by
-    # the C-order index of its earliest run start.
-    nx, ny, nz = grid.dims
-    sx, _, sz = grid.padded_strides
-    i, rest = np.divmod(r.start, sx)
-    k, j = np.divmod(rest, sz)
-    first = np.full(count, nx * ny * nz)
-    np.minimum.at(first, run_comp, (i * ny + j) * nz + k)
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(count)
-    # An active cell's run is the last one starting at or before it: count
-    # the run starts up to each cell.
-    run_of = np.zeros((nx + 1) * sx, dtype=np.intp)
-    run_of[r.start] = 1
-    np.cumsum(run_of, out=run_of)
-    return rank[run_comp][run_of[grid.padded_cells] - 1], count
+    r, count, run_comp = _segment(labels, grid)
+    return _number(r, count, run_comp, grid)[1], count

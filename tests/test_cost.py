@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lidarplace as lp
 from grids import blob_grid, blob_metrics, single_component_metrics
-from lidarplace import segmentation
+from lidarplace import cost, segmentation
 from oracles import (
     assert_valid_partition,
     brute_force_max_vsr,
@@ -157,6 +157,25 @@ class TestVsr:
         assert ratio == vol / sa
 
 
+def three_sensor_codes():
+    """A grid with an excluded box and the codes of three 9-beam sensors, over 20 subspaces."""
+    roi = lp.RoiSpec(
+        extent=[6, 4, 2],
+        resolution=[0.5, 0.5, 0.25],
+        excluded_boxes=(lp.Box(minimum=[2, 1, 0], maximum=[3.5, 2.5, 1]),),
+    )
+    grid = lp.build_voxel_grid(roi)
+    model = lp.LidarModel(beam_pitches=np.radians(np.linspace(-20.0, 20.0, 9)))
+    poses = [
+        lp.PoseConfig(position=[1.5, 1.0, 1.6], pitch=0.3),
+        lp.PoseConfig(position=[4.5, 3.0, 1.4], roll=-0.4),
+        lp.PoseConfig(position=[3.0, 0.5, 1.9], pitch=-0.2, roll=0.5),
+    ]
+    labels = lp.first_level_labels(poses, [model] * 3, grid)
+    assert lp.component_ids(labels, grid)[1] > 20 and grid.num_active < grid.num_voxels
+    return grid, labels
+
+
 class TestMaxVsr:
     def test_matches_brute_force_on_coarse_grid(self):
         roi = lp.RoiSpec(extent=[8, 8, 4], resolution=[1, 1, 1])
@@ -246,33 +265,49 @@ class TestMaxVsr:
             assert row["vsr"] > 0
             assert row["inscribed_radius_estimate"] == 3.0 * row["vsr"]
 
-    def test_report_columns_share_one_code_rule(self):
-        roi = lp.RoiSpec(
-            extent=[6, 4, 2],
-            resolution=[0.5, 0.5, 0.25],
-            excluded_boxes=(lp.Box(minimum=[2, 1, 0], maximum=[3.5, 2.5, 1]),),
-        )
-        grid = lp.build_voxel_grid(roi)
-        model = lp.LidarModel(beam_pitches=np.radians(np.linspace(-20.0, 20.0, 9)))
-        poses = [
-            lp.PoseConfig(position=[1.5, 1.0, 1.6], pitch=0.3),
-            lp.PoseConfig(position=[4.5, 3.0, 1.4], roll=-0.4),
-            lp.PoseConfig(position=[3.0, 0.5, 1.9], pitch=-0.2, roll=0.5),
-        ]
-        report = lp.evaluate_placement(poses, [model] * 3, grid)
-        count = report.vsr.size
-        assert count > 20 and grid.num_active < grid.num_voxels
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(case=st.deferred(lambda: coded_grids()))
+    @example(case=three_sensor_codes())
+    def test_report_columns_share_one_code_rule(self, case):
+        grid, labels = case
+        pose, model = lp.PoseConfig(position=[0, 0, 0]), lp.LidarModel(beam_pitches=[0.0])
+        with mock.patch.object(segmentation, "first_level_labels", lambda *args: labels):
+            report = lp.evaluate_placement([pose], [model], grid)
+            objective = lp.max_vsr([pose], [model], grid)
+        # the reference route: numbered components, then the metric of any partition
+        comp, count = lp.component_ids(labels, grid)
+        assert np.array_equal(report.component_ids, comp)
         # every voxel carries its component's code
-        labels = lp.first_level_labels(poses, [model] * 3, grid)
         assert np.array_equal(report.codes[report.component_ids], labels)
         columns = (report.voxel_count, report.volume, report.surface_area, report.vsr)
-        for got, expected in zip(columns, lp.component_metrics(report.component_ids, count, grid)):
-            assert np.array_equal(got, expected)
+        for got, expected in zip(columns, lp.component_metrics(comp, count, grid)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
         cells = grid.active_indices.tolist()
         for c in range(count):
             members = [tuple(cells[i]) for i in np.flatnonzero(report.component_ids == c)]
             assert report.vsr[c] == component_vsr(members, grid.resolution)
         assert report.objective == report.vsr.max()
+        assert report.objective.hex() == objective.hex()
+
+    def test_one_segmentation_per_placement(self):
+        # A report and the objective each find the code runs and join them
+        # into components once; the runs are counted through both bindings.
+        grid, labels = three_sensor_codes()
+        pose, model = lp.PoseConfig(position=[0, 0, 0]), lp.LidarModel(beam_pitches=[0.0])
+        runs = mock.Mock(wraps=segmentation._runs)
+        components = mock.Mock(wraps=segmentation._run_components)
+        for call in (lp.evaluate_placement, lp.max_vsr):
+            runs.reset_mock()
+            components.reset_mock()
+            with (
+                mock.patch.object(segmentation, "first_level_labels", lambda *args: labels),
+                mock.patch.object(segmentation, "_runs", runs),
+                mock.patch.object(cost, "_runs", runs),
+                mock.patch.object(segmentation, "_run_components", components),
+            ):
+                call([pose], [model], grid)
+            assert (runs.call_count, components.call_count) == (1, 1), call.__name__
+        assert not hasattr(cost, "_run_components")
 
 
 @st.composite
@@ -314,6 +349,19 @@ def partitioned_grids(draw):
         ids = (grid.active_indices // size).sum(axis=1) % draw(st.integers(1, 3))
     _, comp = np.unique(ids, return_inverse=True)
     return grid, comp.astype(np.int64), int(comp.max()) + 1
+
+
+@st.composite
+def coded_grids(draw):
+    """A grid and 1-3 random digit columns for its active voxels, maybe wider than 62 bits."""
+    grid = draw(grids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 3))
+    labels = rng.integers(0, draw(st.integers(1, 3)), (grid.num_active, width))
+    if draw(st.booleans()):
+        # digits too wide for mixed-radix packing: the row-identity fallback
+        labels = np.concatenate([labels * 2**40, labels[:, :1]], axis=1)
+    return grid, labels
 
 
 def runs_ref(grid, values):
@@ -394,15 +442,9 @@ class TestRunMetrics:
             assert vsr[c] == component_vsr(cells, grid.resolution)
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_max_vsr_matches_the_oracle_on_random_codes(self, data):
-        grid = data.draw(grids())
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        width = data.draw(st.integers(1, 3))
-        labels = rng.integers(0, data.draw(st.integers(1, 3)), (grid.num_active, width))
-        if data.draw(st.booleans()):
-            # digits too wide for mixed-radix packing: the row-identity fallback
-            labels = np.concatenate([labels * 2**40, labels[:, :1]], axis=1)
+    @given(case=coded_grids())
+    def test_max_vsr_matches_the_oracle_on_random_codes(self, case):
+        grid, labels = case
         cells = {
             tuple(index): tuple(code)
             for index, code in zip(grid.active_indices.tolist(), labels.tolist())
