@@ -54,8 +54,7 @@ EXTENT_TOLERANCE = 1e-9
 MAX_VOXELS = 2**24
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -67,8 +66,7 @@ def as_vec3(values) -> np.ndarray:
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector components must be finite")
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +152,8 @@ class LidarModel:
             raise ValueError("beam pitches must lie strictly inside (-pi/2, +pi/2)")
         if np.any(np.diff(arr) <= 0.0):
             raise ValueError("beam pitches must be strictly increasing")
-        arr.flags.writeable = False
-        object.__setattr__(self, "beam_pitches", arr)
-        object.__setattr__(self, "_tangents", _frozen([math.tan(p) for p in arr]))
+        object.__setattr__(self, "beam_pitches", _read_only(arr))
+        object.__setattr__(self, "_tangents", _read_only(np.array([math.tan(p) for p in arr])))
 
     @property
     def num_beams(self) -> int:
@@ -271,22 +268,23 @@ class VoxelGrid:
 
     @property
     def padded_strides(self) -> tuple[int, int, int]:
-        """Per-axis strides of the padded layout; see :attr:`padded_cells`."""
+        """Per-axis strides of the padded layout; see :attr:`padded_rows`."""
         _, ny, nz = self.dims
         return ((ny + 1) * (nz + 1), 1, ny + 1)
 
     @cached_property
-    def padded_cells(self) -> np.ndarray:
-        """Flat index of each active voxel in the padded layout, built once per grid.
+    def padded_rows(self) -> np.ndarray:
+        """Active row of every cell of the padded layout, ``-1`` elsewhere, built once per grid.
 
         The padded layout is the grid grown by one cell at the high end of
         each axis, laid out x-major, then z, with y contiguous: voxel
         ``(i, j, k)`` sits at ``i * sx + j + k * sz`` for the strides
-        ``(sx, 1, sz)`` of :attr:`padded_strides`.
+        ``(sx, 1, sz)`` of :attr:`padded_strides`.  Index ``-1`` reads the
+        last entry, so :meth:`pad` appends the padding value and gathers.
         """
-        cells = self.active_indices @ np.array(self.padded_strides, dtype=np.int64)
-        cells.flags.writeable = False
-        return cells
+        rows = np.full((self.dims[0] + 1) * self.padded_strides[0], -1, dtype=np.int64)
+        rows[self.active_indices @ self.padded_strides] = np.arange(self.num_active)
+        return _read_only(rows)
 
     @cached_property
     def lattice_rows(self) -> np.ndarray:
@@ -298,9 +296,7 @@ class VoxelGrid:
         """
         i, j, k = self.active_indices.T
         nx, ny, _ = self.dims
-        rows = (k * nx + i) * ny + j
-        rows.flags.writeable = False
-        return rows
+        return _read_only((k * nx + i) * ny + j)
 
     def pad(self, values) -> np.ndarray:
         """Active-voxel ``values`` on the padded layout, ``-1`` in every other cell.
@@ -313,9 +309,7 @@ class VoxelGrid:
         """
         if np.shape(values) != (self.num_active,):
             raise ValueError("per-voxel values must align with the grid's active voxels")
-        padded = np.full((self.dims[0] + 1) * self.padded_strides[0], -1, dtype=np.int64)
-        padded[self.padded_cells] = values
-        return padded
+        return np.append(np.asarray(values, dtype=np.int64), -1)[self.padded_rows]
 
 
 def rotation_matrix(pose: PoseConfig) -> np.ndarray:
@@ -378,15 +372,13 @@ def build_voxel_grid(roi: RoiSpec) -> VoxelGrid:
     counts as inside).  The extent/resolution pair was checked by
     :class:`RoiSpec`; a grid may have no active voxel at all.
     """
-    dims = roi.grid_dims
-    res = _frozen(roi.resolution)
-    axes = tuple(_frozen((np.arange(n) + 0.5) * res[a]) for a, n in enumerate(dims))
+    dims, res = roi.grid_dims, roi.resolution  # as_vec3 froze the resolution
+    axes = tuple(_read_only((np.arange(n) + 0.5) * res[a]) for a, n in enumerate(dims))
     # A box holds the centers whose every coordinate lies in its closed
     # interval on that axis.
     active = np.ones(dims, dtype=bool)
     for box in roi.excluded_boxes:
         x, y, z = ((c >= box.minimum[a]) & (c <= box.maximum[a]) for a, c in enumerate(axes))
         active &= ~(x[:, None, None] & y[None, :, None] & z[None, None, :])
-    active_indices = np.argwhere(active).astype(np.int64, copy=False)
-    active_indices.flags.writeable = False
+    active_indices = _read_only(np.argwhere(active).astype(np.int64, copy=False))
     return VoxelGrid(dims=dims, resolution=res, axis_centers=axes, active_indices=active_indices)

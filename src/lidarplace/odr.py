@@ -15,10 +15,10 @@ All trials are counted in one batched pass.  The grid is regular, so the
 centers inside a box ``[lo, hi]`` form an index block: per axis, from the
 first center ``>= lo`` to the last center ``<= hi``, found by binary search
 in the grid's own center coordinates (``VoxelGrid.axis_centers``).  Each
-box's block is gathered from the component ids laid on the grid (``-1``
-where no active voxel is) and its distinct ids are counted after a row-wise
-sort.  :func:`vsr_odr_scatter` pairs the max VSR and the ODR of random
-placements.
+box's block is gathered from the component ids through
+``VoxelGrid.padded_rows`` (``-1`` where no active voxel is) and its distinct
+ids are counted after a row-wise sort.  :func:`vsr_odr_scatter` pairs the
+max VSR and the ODR of random placements.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.n
     ``lo`` and ``hi`` are ``(K, 3)`` with ``lo <= hi``; returns ``K``
     counts.  A center ``c`` is inside when ``lo <= c <= hi`` on every axis.
     """
-    ids, strides = grid.pad(comp), grid.padded_strides
+    ids, strides = np.append(comp, -1), grid.padded_strides
     first = np.empty(lo.shape, dtype=np.int64)
     size = np.empty(lo.shape, dtype=np.int64)
     for a, axis in enumerate(grid.axis_centers):
@@ -138,7 +138,7 @@ def _occupied_counts(comp: np.ndarray, grid: VoxelGrid, lo: np.ndarray, hi: np.n
             shape = [-1, 1, 1, 1]
             shape[a + 1] = width
             flat = flat + (index * strides[a]).reshape(shape)
-        cells = ids[flat.reshape(flat.shape[0], -1)]
+        cells = ids[grid.padded_rows[flat.reshape(flat.shape[0], -1)]]
         cells.sort(axis=1)
         # -1 sorts first, so every change along a sorted row steps onto an id >= 0.
         counts[rows] = (cells[:, 0] >= 0) + np.count_nonzero(cells[:, 1:] != cells[:, :-1], axis=1)

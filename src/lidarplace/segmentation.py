@@ -21,13 +21,14 @@ order, and ``first_level_labels`` returns them as a ``uint8`` matrix.
 Second level: voxels sharing a code are split into maximal face-connected
 (6-connected) components.  Each component is one non-detectable subspace: a
 static object strictly inside it intersects no beam cone.  Values are laid
-on the grid's padded layout (``VoxelGrid.pad``), and one run helper
-contracts each maximal same-value run along y into one node with its
-length, and joins runs by their same-value face pairs along x and z: each
-stretch of consecutive pairing cells in one run is one edge, holding its
-length.  The run graph's components are labelled by hook and jump, each
-hook picking any smaller root.  Component ids follow each component's first
-voxel in C order; the objective (``cost.max_vsr``) needs no ids.
+on the grid's padded layout (``VoxelGrid.pad`` gathers them through
+``VoxelGrid.padded_rows``), and one run helper contracts each maximal
+same-value run along y into one node with its length, and joins runs by
+their same-value face pairs along x and z: each stretch of consecutive
+pairing cells in one run is one edge, holding its length.  The run graph's
+components are labelled by hook and jump, each hook picking any smaller
+root.  Component ids follow each component's first voxel in C order, its
+least ``padded_rows`` entry; the objective (``cost.max_vsr``) needs no ids.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import LidarModel, PoseConfig, VoxelGrid, world_to_lidar
+from .geometry import LidarModel, PoseConfig, VoxelGrid, _read_only, world_to_lidar
 
 __all__ = [
     "beam_digits",
@@ -181,11 +182,6 @@ def _bin_table(model: LidarModel) -> _BinTable:
         above=_read_only(np.append(t, np.inf)),
         below=_read_only(np.insert(t, 0, -np.inf)),
     )
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _lattice_points(pose: PoseConfig, grid: VoxelGrid) -> np.ndarray:
@@ -390,8 +386,7 @@ def _segment(labels: np.ndarray, grid: VoxelGrid) -> tuple[_Runs, int, np.ndarra
 
 def _number(r: _Runs, count: int, run_comp: np.ndarray, grid: VoxelGrid):
     """Component ids by first voxel in C order: per run, per active voxel, and each first row."""
-    # Active rows are in C order, and a run's first voxel is its start.
-    rows = grid.pad(np.arange(grid.num_active))
+    rows = grid.padded_rows  # active rows are in C order; a run's first voxel is its start
     first = np.full(count, grid.num_active)
     np.minimum.at(first, run_comp, rows[r.start])
     order = np.argsort(first)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import lidarplace as lp
 from grids import blob_grid, blob_metrics, single_component_metrics
-from lidarplace import cost, segmentation
+from lidarplace import cost, odr, segmentation
 from oracles import (
     assert_valid_partition,
     brute_force_max_vsr,
@@ -290,23 +290,37 @@ class TestMaxVsr:
         assert report.objective.hex() == objective.hex()
 
     def test_one_segmentation_per_placement(self):
-        # A report and the objective each find the code runs and join them
-        # into components once; the runs are counted through both bindings.
+        # A report, the objective, the ids and an ODR estimate each lay the
+        # codes on the padded layout, find their runs and join them into
+        # components once; the runs are counted through both bindings.
         grid, labels = three_sensor_codes()
         pose, model = lp.PoseConfig(position=[0, 0, 0]), lp.LidarModel(beam_pitches=[0.0])
+        odr_settings = lp.OdrSettings(trials=50)
+        calls = {
+            "evaluate_placement": lambda: lp.evaluate_placement([pose], [model], grid),
+            "max_vsr": lambda: lp.max_vsr([pose], [model], grid),
+            "component_ids": lambda: lp.component_ids(labels, grid),
+            "estimate_odr": lambda: lp.estimate_odr(
+                [pose], [model], grid, odr_settings, np.random.default_rng(0)
+            ),
+        }
         runs = mock.Mock(wraps=segmentation._runs)
         components = mock.Mock(wraps=segmentation._run_components)
-        for call in (lp.evaluate_placement, lp.max_vsr):
+        for name, call in calls.items():
             runs.reset_mock()
             components.reset_mock()
             with (
                 mock.patch.object(segmentation, "first_level_labels", lambda *args: labels),
+                mock.patch.object(odr, "first_level_labels", lambda *args: labels),
                 mock.patch.object(segmentation, "_runs", runs),
                 mock.patch.object(cost, "_runs", runs),
                 mock.patch.object(segmentation, "_run_components", components),
+                mock.patch.object(
+                    lp.VoxelGrid, "pad", autospec=True, side_effect=lp.VoxelGrid.pad
+                ) as pad,
             ):
-                call([pose], [model], grid)
-            assert (runs.call_count, components.call_count) == (1, 1), call.__name__
+                call()
+            assert (runs.call_count, components.call_count, pad.call_count) == (1, 1, 1), name
         assert not hasattr(cost, "_run_components")
 
 
@@ -416,7 +430,10 @@ class TestRunMetrics:
                 for cells in expected
             ]
         # each voxel's run is the last one starting at or before its cell
-        voxel_run = np.searchsorted(r.start, grid.padded_cells, side="right") - 1
+        # (its padded cell, where padded_rows holds its active row)
+        cells = np.flatnonzero(grid.padded_rows >= 0)
+        cells = cells[np.argsort(grid.padded_rows[cells])]
+        voxel_run = np.searchsorted(r.start, cells, side="right") - 1
         assert voxel_run.tolist() == [run_of[tuple(c)] for c in grid.active_indices.tolist()]
         # one edge per pair of runs joined by an x or z face pair
         edges = {

@@ -225,9 +225,21 @@ class TestVoxelGrid:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         for a, axis in enumerate(grid.axis_centers):
             assert axis.shape == (grid.dims[a],)
+        # the active rows scattered to their padded cells, -1 elsewhere
+        nx, ny, nz = grid.dims
         sx, sy, sz = grid.padded_strides
         index = grid.active_indices
-        assert np.array_equal(grid.padded_cells, index[:, 0] * sx + index[:, 1] * sy + index[:, 2] * sz)
+        cells = index[:, 0] * sx + index[:, 1] * sy + index[:, 2] * sz
+        scattered = np.full((nx + 1) * (ny + 1) * (nz + 1), -1, dtype=np.int64)
+        scattered[cells] = np.arange(grid.num_active)
+        assert grid.padded_rows.dtype == np.int64 and np.array_equal(grid.padded_rows, scattered)
+        # pad lays any integers there, negative ones included
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(-(2**62), 2**62, grid.num_active)
+        scattered[:] = -1
+        scattered[cells] = values
+        padded = grid.pad(values)
+        assert padded.dtype == np.int64 and np.array_equal(padded, scattered)
 
     def test_box_faces_on_centers_exclude_those_centers(self):
         roi = lp.RoiSpec(
@@ -243,8 +255,10 @@ class TestVoxelGrid:
 
     def test_centers_and_masks_are_read_only(self):
         grid = lp.build_voxel_grid(lp.RoiSpec(extent=[2, 2, 2], resolution=[1, 1, 1]))
+        model = lp.LidarModel(beam_pitches=[-0.1, 0.2])
         for arr in (
-            *grid.axis_centers, grid.active_indices, grid.resolution, grid.padded_cells,
+            *grid.axis_centers, grid.active_indices, grid.resolution, grid.padded_rows,
+            grid.lattice_rows, model.beam_pitches, model.beam_tangents,
         ):
             with pytest.raises(ValueError):
                 arr[0] = 0
